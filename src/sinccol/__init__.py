@@ -2,15 +2,7 @@
 eigenproblems, with the two-dimensional logarithmic Coulomb spectrum as
 the flagship application."""
 
-from .collocation import (
-    REALITY_TOL,
-    CollocationProblem,
-    EigenPair,
-    LiouvillePencil,
-    assemble,
-    reconstruct,
-    solve,
-)
+from .collocation import CollocationProblem, EigenPair, assemble, reconstruct, solve
 from .coulomb import (
     DEFAULT_BETA,
     DEFAULT_D,
@@ -45,7 +37,6 @@ __all__ = [
     "EigenDecomposition",
     "EigenPair",
     "EigenSolveError",
-    "LiouvillePencil",
     "RadialSolution",
     "SincGrid",
     "EULER_GAMMA",
@@ -53,7 +44,6 @@ __all__ = [
     "DEFAULT_BETA",
     "DEFAULT_D",
     "DEFAULT_M",
-    "REALITY_TOL",
     "RESIDUAL_TOL",
     "assemble",
     "build_deltas",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,30 +24,10 @@ from .coulomb import (
 )
 from .dense_eig import EigenSolveError
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
-
-
-@dataclass
-class RunConfig:
-    """Validated settings for one CLI invocation."""
-
-    command: str
-    l_values: list[int] = field(default_factory=lambda: [0])
-    n: int = 0
-    count: int = 5
-    M: int = DEFAULT_M
-    M_list: list[int] = field(default_factory=list)
-    d: float = DEFAULT_D
-    beta: float = DEFAULT_BETA
-    lambda_prime: bool = False
-    x_min: float = 0.05
-    x_max: float = 10.0
-    samples: int = 200
-    format: str = "csv"
-    output: str | None = None
 
 
 def _fmt(v: float) -> str:
@@ -116,97 +95,93 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, d=args.d, beta=args.beta,
-                    format=args.format, output=args.output)
-    if not 0 < cfg.d <= math.pi / 2:
-        parser.error(f"--d must lie in (0, pi/2], got {cfg.d}")
-    if not 0.5 <= cfg.beta <= 1.0:
-        parser.error(f"--beta must lie in [0.5, 1], got {cfg.beta}")
+def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Check ``args`` in place, turning the comma lists of ``eigen --l`` and
+    ``converge --M`` into lists of integers; usage errors exit through
+    ``parser.error``."""
+    if not 0 < args.d <= math.pi / 2:
+        parser.error(f"--d must lie in (0, pi/2], got {args.d}")
+    if not 0.5 <= args.beta <= 1.0:
+        parser.error(f"--beta must lie in [0.5, 1], got {args.beta}")
 
     if args.command == "eigen":
         try:
-            cfg.l_values = _int_list(args.l)
+            args.l = _int_list(args.l)
         except ValueError:
             parser.error(f"--l must be an integer or comma list, got {args.l!r}")
-        if not cfg.l_values or any(l < 0 for l in cfg.l_values):
+        if not args.l or any(l < 0 for l in args.l):
             parser.error("--l values must be nonnegative integers")
-        cfg.count, cfg.M, cfg.lambda_prime = args.count, args.M, args.lambda_prime
-        if cfg.count < 1:
+        if args.count < 1:
             parser.error("--count must be >= 1")
-        if cfg.M < 1:
+        if args.M < 1:
             parser.error("--M must be >= 1")
     elif args.command == "wavefunction":
-        cfg.l_values, cfg.n, cfg.M = [args.l], args.n, args.M
-        cfg.x_min, cfg.x_max, cfg.samples = args.x_min, args.x_max, args.samples
-        if args.l < 0 or cfg.n < 0:
+        if args.l < 0 or args.n < 0:
             parser.error("--l and --n must be nonnegative")
-        if cfg.M < 1:
+        if args.M < 1:
             parser.error("--M must be >= 1")
-        if not 0 < cfg.x_min < cfg.x_max:
+        if not 0 < args.x_min < args.x_max:
             parser.error("require 0 < x-min < x-max")
-        if cfg.samples < 1:
+        if args.samples < 1:
             parser.error("--samples must be >= 1")
     else:
-        cfg.l_values, cfg.n = [args.l], args.n
-        if args.l < 0 or cfg.n < 0:
+        if args.l < 0 or args.n < 0:
             parser.error("--l and --n must be nonnegative")
         try:
-            cfg.M_list = _int_list(args.M)
+            args.M = _int_list(args.M)
         except ValueError:
             parser.error(f"--M must be a comma list of integers, got {args.M!r}")
-        if len(cfg.M_list) < 2:
+        if len(args.M) < 2:
             parser.error("--M needs at least two values for a convergence run")
-        if any(b <= a for a, b in zip(cfg.M_list, cfg.M_list[1:])) or cfg.M_list[0] < 1:
+        if any(b <= a for a, b in zip(args.M, args.M[1:])) or args.M[0] < 1:
             parser.error("--M values must be strictly increasing positive integers")
-    return cfg
+    return args
 
 
-def _cmd_eigen(cfg: RunConfig) -> None:
-    table = eigen_table(cfg.l_values, cfg.count, beta=cfg.beta, d=cfg.d, M=cfg.M)
-    header = ["n", "l", "lambda"] + (["lambda_prime"] if cfg.lambda_prime else [])
+def _cmd_eigen(args: argparse.Namespace) -> None:
+    table = eigen_table(args.l, args.count, beta=args.beta, d=args.d, M=args.M)
+    header = ["n", "l", "lambda"] + (["lambda_prime"] if args.lambda_prime else [])
     rows = []
-    for j, l in enumerate(cfg.l_values):
-        for n in range(cfg.count):
+    for j, l in enumerate(args.l):
+        for n in range(args.count):
             lam = table[n, j]
             row = [str(n), str(l), _fmt(lam)]
-            if cfg.lambda_prime:
+            if args.lambda_prime:
                 row.append(_fmt(lam + LEVEL_SHIFT))
             rows.append(row)
-    _emit(header, rows, cfg.format, cfg.output)
+    _emit(header, rows, args.format, args.output)
 
 
-def _cmd_wavefunction(cfg: RunConfig) -> None:
-    states = solve_states(cfg.l_values[0], cfg.n + 1, beta=cfg.beta, d=cfg.d, M=cfg.M)
-    state = states[cfg.n]
-    xs = np.geomspace(cfg.x_min, cfg.x_max, cfg.samples)
+def _cmd_wavefunction(args: argparse.Namespace) -> None:
+    states = solve_states(args.l, args.n + 1, beta=args.beta, d=args.d, M=args.M)
+    state = states[args.n]
+    xs = np.geomspace(args.x_min, args.x_max, args.samples)
     values = np.atleast_1d(evaluate_radial(state, xs))
     rows = [[_fmt(x), _fmt(r)] for x, r in zip(xs, values)]
-    _emit(["x", "R"], rows, cfg.format, cfg.output)
+    _emit(["x", "R"], rows, args.format, args.output)
 
 
-def _cmd_converge(cfg: RunConfig) -> None:
+def _cmd_converge(args: argparse.Namespace) -> None:
     rows = []
     previous = None
-    for M in cfg.M_list:
-        lam = eigen_table(cfg.l_values, cfg.n + 1, beta=cfg.beta, d=cfg.d, M=M)[cfg.n, 0]
+    for M in args.M:
+        lam = eigen_table([args.l], args.n + 1, beta=args.beta, d=args.d, M=M)[args.n, 0]
         delta = "" if previous is None else _fmt(abs(lam - previous))
         rows.append([str(M), _fmt(lam), delta])
         previous = lam
-    _emit(["M", "lambda", "delta"], rows, cfg.format, cfg.output)
+    _emit(["M", "lambda", "delta"], rows, args.format, args.output)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(parser, args)
+    args = _validate_args(parser, parser.parse_args(argv))
     try:
-        if cfg.command == "eigen":
-            _cmd_eigen(cfg)
-        elif cfg.command == "wavefunction":
-            _cmd_wavefunction(cfg)
+        if args.command == "eigen":
+            _cmd_eigen(args)
+        elif args.command == "wavefunction":
+            _cmd_wavefunction(args)
         else:
-            _cmd_converge(cfg)
+            _cmd_converge(args)
     except (EigenSolveError, ValueError, ArithmeticError) as exc:
         print(f"sinccol: error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR

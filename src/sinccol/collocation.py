@@ -2,7 +2,7 @@
 
 Enforcing the equation at the sinc points turns it into a dense real
 nonsymmetric matrix eigenproblem.  With the chain rule factors phi' and
-phi'' expressed through e^(-2ma), the assembled matrix is
+phi'' expressed through e^(-2ma), the paper's matrix is
 
     A[n, m] = q(x_m) d0[n, m] + (e^(-2ma)/a) d1[n, m]
               - ((1 + e^(-2ma))/a^2) d2[n, m],
@@ -13,14 +13,15 @@ exactly the transpose of the system satisfied by the nodal samples
 f(x_m), in which the prefactors sit on the row (collocation) index with
 the opposite d1 orientation.  Both have identical spectra.
 
-This matrix is the reproduction baseline, but it is not what ``solve``
-diagonalizes for an assembled problem: its column factors grow like
-e^(2Ma) (1.7e63 at l = 0, M = 500), which swamps the low eigenvalues in
-the backward error of any nonsymmetric eigensolver.  ``assemble`` also
-records the symmetric (Liouville) form of the same collocation scheme
-(Eggert, Jarratt & Lund, J. Comput. Phys. 69 (1987) 209).  Writing
-f = (phi')^(-1/2) v and u = tanh^2(x) = 1/phi'^2, the equation becomes
--v'' + g v = lambda u v in z = phi(x) with
+This matrix is the reproduction baseline, and ``CollocationProblem.matrix``
+builds it when it is accessed; ``solve`` never reads it.  Its column
+factors grow like e^(2Ma) (1.7e63 at l = 0, M = 500), which swamps the
+low eigenvalues in the backward error of any nonsymmetric eigensolver.
+An assembled problem holds instead the nodal data of the symmetric
+(Liouville) form of the same collocation scheme (Eggert, Jarratt & Lund,
+J. Comput. Phys. 69 (1987) 209).  Writing f = (phi')^(-1/2) v and
+u = tanh^2(x) = 1/phi'^2, the equation becomes -v'' + g v = lambda u v in
+z = phi(x) with
 
     g = u q + (1 - u)(1 + 3u)/4,
 
@@ -52,53 +53,54 @@ import numpy as np
 
 from scipy.linalg import toeplitz
 
-from .dense_eig import EigenSolveError, eig, eigh_pencil
+from .dense_eig import eig, eigh_pencil  # eig is unused here; perfbench/layers.py wraps this name
 from .sinc import SincGrid, _d2_column, _evaluate_on_points, build_deltas, interpolate
 
 __all__ = [
     "CollocationProblem",
     "EigenPair",
-    "LiouvillePencil",
-    "REALITY_TOL",
     "assemble",
     "solve",
     "reconstruct",
 ]
 
-# Discretizing a self-adjoint operator can leak spurious complex pairs;
-# eigenvalues with |Im| beyond this relative threshold are discarded.
-REALITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class LiouvillePencil:
-    """Nodal data of the symmetric pencil described in the module docstring.
-
-    ``g`` and ``weight`` (u = tanh^2 x) are sampled at the sinc points;
-    ``omega`` holds the boundary function at the sinc points when the
-    pencil is bordered with it, and is None otherwise.
-    """
-
-    g: np.ndarray
-    weight: np.ndarray
-    omega: np.ndarray | None
-
 
 @dataclass(frozen=True)
 class CollocationProblem:
-    """A potential discretized on a sinc grid.
+    """A potential discretized on a sinc grid, as the symmetric pencil of
+    the module docstring.
 
     ``potential`` is the full multiplicative term of the reduced radial
-    equation, e.g. (4*l^2 - 1)/(4*x^2) + V(x).  ``matrix`` is the dense
-    collocation matrix described in the module docstring.  ``pencil`` is
-    the symmetric form that ``solve`` uses; a problem built around a bare
-    matrix leaves it None and is solved from ``matrix``.
+    equation, e.g. (4*l^2 - 1)/(4*x^2) + V(x).  ``g`` and ``weight``
+    (u = tanh^2 x) are sampled at the sinc points; ``omega`` holds the
+    boundary function at the sinc points when the pencil is bordered with
+    it, and is None otherwise.
     """
 
     grid: SincGrid
     potential: Callable[[np.ndarray], np.ndarray]
-    matrix: np.ndarray
-    pencil: LiouvillePencil | None = None
+    g: np.ndarray
+    weight: np.ndarray
+    omega: np.ndarray | None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The paper's dense K x K collocation matrix, built on each access."""
+        grid = self.grid
+        pot_vals = _evaluate_on_points(self.potential, grid.points)
+        deltas = build_deltas(grid)
+        e2m = -grid.phi2  # e^(-2ma), stored on the grid as phi''(x_m) = -e^(-2ma)
+        # diag(q) + d1 * col1 - d2 * col2, formed in the buffers of the freshly
+        # built d1 and d2 so that the build holds no K x K temporaries
+        matrix = deltas.d1
+        matrix *= (e2m / grid.a)[None, :]
+        matrix[np.diag_indices(grid.size)] += pot_vals  # d1 is zero on the diagonal
+        scaled_d2 = deltas.d2
+        scaled_d2 *= ((1.0 + e2m) / grid.a**2)[None, :]
+        matrix -= scaled_d2
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("collocation matrix has nonfinite entries; reduce M")
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -107,19 +109,16 @@ class EigenPair:
 
     ``coefficients`` holds the nodal values f(x_m) with the
     largest-magnitude entry normalized to positive sign.  ``residual`` is
-    the relative residual reported by the dense eigensolver and
-    ``imag_leak`` the magnitude of the discarded imaginary part of the
-    raw eigenvalue (zero from the symmetric pencil).
+    the relative residual reported by the pencil eigensolver.
     """
 
     eigenvalue: float
     coefficients: np.ndarray
     residual: float
-    imag_leak: float = 0.0
 
 
 def assemble(grid: SincGrid, potential: Callable[[np.ndarray], np.ndarray]) -> CollocationProblem:
-    """Build the collocation matrix for ``potential`` on ``grid``.
+    """Sample the symmetric pencil of ``potential`` on ``grid``.
 
     The potential must be finite at every sinc point.
     """
@@ -128,39 +127,28 @@ def assemble(grid: SincGrid, potential: Callable[[np.ndarray], np.ndarray]) -> C
         bad = grid.points[~np.isfinite(pot_vals)][0]
         raise ValueError(f"potential is not finite at sinc point x={bad!r}")
 
-    deltas = build_deltas(grid)
-    e2m = -grid.phi2  # e^(-2ma), stored on the grid as phi''(x_m) = -e^(-2ma)
-    # diag(q) + d1 * col1 - d2 * col2, formed in the buffers of the freshly
-    # built d1 and d2 so that assembly holds no K x K temporaries
-    matrix = deltas.d1
-    matrix *= (e2m / grid.a)[None, :]
-    matrix[np.diag_indices(grid.size)] += pot_vals  # d1 is zero on the diagonal
-    scaled_d2 = deltas.d2
-    scaled_d2 *= ((1.0 + e2m) / grid.a**2)[None, :]
-    matrix -= scaled_d2
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("collocation matrix has nonfinite entries; reduce M")
-
+    e2m = -grid.phi2  # e^(-2ma)
     weight = 1.0 / (1.0 + e2m)  # tanh^2(x_m) = 1/phi'(x_m)^2
     omega = e2m / (1.0 + e2m)  # 1/(1 + e^(2ma)) = 1 - weight, without cancellation
-    pencil = LiouvillePencil(g=weight * pot_vals + omega * (1.0 + 3.0 * weight) / 4.0,
-                             weight=weight, omega=omega if grid.alpha == 0.5 else None)
-    return CollocationProblem(grid=grid, potential=potential, matrix=matrix, pencil=pencil)
+    return CollocationProblem(grid=grid, potential=potential,
+                              g=weight * pot_vals + omega * (1.0 + 3.0 * weight) / 4.0,
+                              weight=weight, omega=omega if grid.alpha == 0.5 else None)
 
 
-def _pencil_matrices(grid: SincGrid, pencil: LiouvillePencil) -> tuple[np.ndarray, np.ndarray]:
+def _pencil_matrices(problem: CollocationProblem) -> tuple[np.ndarray, np.ndarray]:
     """Dense left and right matrices of the (possibly bordered) pencil,
     Fortran-ordered for LAPACK."""
+    grid = problem.grid
     K = grid.size
-    n = K if pencil.omega is None else K + 1
+    n = K if problem.omega is None else K + 1
     left = np.zeros((n, n), order="F")
     left[:K, :K] = toeplitz(-_d2_column(K) / grid.a**2)
     right = np.zeros((n, n), order="F")
     diag = np.arange(K)
-    left[diag, diag] += pencil.g
-    right[diag, diag] = pencil.weight
-    if pencil.omega is not None:
-        u, w, g = pencil.weight, pencil.omega, pencil.g
+    left[diag, diag] += problem.g
+    right[diag, diag] = problem.weight
+    if problem.omega is not None:
+        u, w, g = problem.weight, problem.omega, problem.g
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
         left[K, :K] = left[:K, K] = g * w - ddw
@@ -170,19 +158,6 @@ def _pencil_matrices(grid: SincGrid, pencil: LiouvillePencil) -> tuple[np.ndarra
     return left, right
 
 
-def _solve_pencil(problem: CollocationProblem, count: int) -> list[EigenPair]:
-    grid, pencil = problem.grid, problem.pencil
-    decomp = eigh_pencil(lambda: _pencil_matrices(grid, pencil), count)
-    V = decomp.eigenvectors
-    nodal = V[: grid.size]
-    if pencil.omega is not None:
-        nodal = nodal + pencil.omega[:, None] * V[grid.size][None, :]
-    f = nodal / np.sqrt(grid.phi1)[:, None]
-    return [EigenPair(eigenvalue=float(lam), coefficients=_positive_peak(f[:, j]),
-                      residual=float(decomp.residuals[j]))
-            for j, lam in enumerate(decomp.eigenvalues)]
-
-
 def _positive_peak(vec: np.ndarray) -> np.ndarray:
     vec = np.array(vec, dtype=float)
     if vec[np.argmax(np.abs(vec))] < 0.0:
@@ -190,71 +165,28 @@ def _positive_peak(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _ordered_real_indices(w: np.ndarray) -> np.ndarray:
-    keep = np.flatnonzero(np.abs(w.imag) <= REALITY_TOL * np.maximum(1.0, np.abs(w.real)))
-    return keep[np.argsort(w.real[keep], kind="stable")]
-
-
 def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
-    """Return the ``count`` smallest real eigenpairs, sorted ascending.
+    """Return the ``count`` lowest eigenpairs, sorted ascending.
 
+    The pairs are those of the symmetric pencil (see module docstring).
     Coefficient vectors are the nodal values f(x_m), sign-normalized so
-    the largest-magnitude entry is positive.  A problem with a ``pencil``
-    is solved through it (see module docstring); a left matrix that is
-    not positive definite, which means a non-positive lowest level, is an
-    EigenSolveError.  A problem with a bare ``matrix`` is solved from the
-    transpose of that matrix (so the eigenvectors are nodal values, see
-    module docstring); raw eigenvalues whose imaginary magnitude exceeds
-    REALITY_TOL * max(1, |Re|) are discarded as discretization artifacts,
-    and if fewer than ``count`` survive, an EigenSolveError reports how
-    many did.
+    the largest-magnitude entry is positive.  A left matrix that is not
+    positive definite, which means a non-positive lowest level, is an
+    EigenSolveError, and so is a requested eigenvalue that is not finite.
     """
-    K = problem.grid.size
+    grid = problem.grid
+    K = grid.size
     if not 1 <= count <= K:
         raise ValueError(f"count must lie in [1, {K}], got {count}")
-    if problem.pencil is not None:
-        return _solve_pencil(problem, count)
-
-    decomp = eig(problem.matrix.T)
-    order = _ordered_real_indices(decomp.eigenvalues)
-    if len(order) < count:
-        raise EigenSolveError(
-            f"only {len(order)} of {K} eigenvalues passed the reality filter, "
-            f"need {count}"
-        )
-
-    chosen = _break_ties(decomp, order[:count].tolist(), order[count:].tolist())
-    pairs = []
-    for idx in chosen:
-        lam = decomp.eigenvalues[idx]
-        pairs.append(
-            EigenPair(
-                eigenvalue=float(lam.real),
-                coefficients=_positive_peak(np.real(decomp.eigenvectors[:, idx])),
-                residual=float(decomp.residuals[idx]),
-                imag_leak=float(abs(lam.imag)),
-            )
-        )
-    return pairs
-
-
-def _break_ties(decomp, chosen: list[int], rest: list[int]) -> list[int]:
-    """Order exact eigenvalue ties by their coefficient vectors.
-
-    The flagship spectra are simple, so this is a determinism safety net
-    for degenerate synthetic problems only.
-    """
-    lams = decomp.eigenvalues.real
-    if len(set(lams[chosen].tolist())) == len(chosen):
-        return chosen
-    groups: dict[float, list[int]] = {}
-    for idx in chosen + [r for r in rest if lams[r] == lams[chosen[-1]]]:
-        groups.setdefault(lams[idx], []).append(idx)
-    ordered: list[int] = []
-    for lam in sorted(groups):
-        members = sorted(groups[lam], key=lambda i: tuple(np.real(decomp.eigenvectors[:, i])))
-        ordered.extend(members)
-    return ordered[: len(chosen)]
+    decomp = eigh_pencil(lambda: _pencil_matrices(problem), count)
+    V = decomp.eigenvectors
+    nodal = V[:K]
+    if problem.omega is not None:
+        nodal = nodal + problem.omega[:, None] * V[K][None, :]
+    f = nodal / np.sqrt(grid.phi1)[:, None]
+    return [EigenPair(eigenvalue=float(lam), coefficients=_positive_peak(f[:, j]),
+                      residual=float(decomp.residuals[j]))
+            for j, lam in enumerate(decomp.eigenvalues)]
 
 
 def reconstruct(grid: SincGrid, pair: EigenPair, x: np.ndarray | float) -> np.ndarray | float:

@@ -146,10 +146,10 @@ class TestDefaults:
     def test_reference_settings(self):
         import math
 
-        from sinccol.cli import _build_parser, _config_from_args
+        from sinccol.cli import _build_parser, _validate_args
 
         parser = _build_parser()
-        cfg = _config_from_args(parser, parser.parse_args(["eigen"]))
+        cfg = _validate_args(parser, parser.parse_args(["eigen"]))
         assert cfg.M == 500
         assert cfg.d == math.pi / 4
         assert cfg.beta == 1.0
