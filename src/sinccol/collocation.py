@@ -46,12 +46,13 @@ g omega^2 diverges.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from scipy.linalg import toeplitz
+import scipy.sparse
+from numpy.lib.stride_tricks import as_strided
 
 from .dense_eig import eig, eigh_pencil  # eig is unused here; perfbench/layers.py wraps this name
 from .sinc import SincGrid, _d2_column, _evaluate_on_points, build_deltas, interpolate
@@ -135,26 +136,47 @@ def assemble(grid: SincGrid, potential: Callable[[np.ndarray], np.ndarray]) -> C
                               weight=weight, omega=omega if grid.alpha == 0.5 else None)
 
 
-def _pencil_matrices(problem: CollocationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Dense left and right matrices of the (possibly bordered) pencil,
-    Fortran-ordered for LAPACK."""
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _pencil_matrices(problem: CollocationProblem) -> tuple[np.ndarray, scipy.sparse.csr_array]:
+    """The (possibly bordered) pencil: the dense left matrix, Fortran-ordered
+    for LAPACK, and the sparse right one, diag(u) or its arrowhead border.
+
+    A left matrix larger than the machine's physical memory is a
+    ValueError, raised before anything is allocated.
+    """
     grid = problem.grid
     K = grid.size
     n = K if problem.omega is None else K + 1
+    need, have = 8 * n * n, _physical_memory_bytes()
+    if need > have:
+        raise ValueError(f"the pencil at K = {K} needs {need / 1e9:.3g} GB, but this machine has "
+                         f"{have / 1e9:.3g} GB of memory; reduce M")
     left = np.zeros((n, n), order="F")
-    left[:K, :K] = toeplitz(-_d2_column(K) / grid.a**2)
-    right = np.zeros((n, n), order="F")
+    # symmetric Toeplitz block, copied from a strided view of its 2K - 1
+    # distinct entries: t[K - 1 + d] is entry (i, i + d)
+    column = -_d2_column(K) / grid.a**2
+    t = np.concatenate((column[:0:-1], column))
+    left[:K, :K] = as_strided(t[K - 1:], shape=(K, K), strides=(-t.itemsize, t.itemsize),
+                              writeable=False)
     diag = np.arange(K)
     left[diag, diag] += problem.g
-    right[diag, diag] = problem.weight
+    # right as (value, row, column) triplets: diag(u), then the border
+    triplets = [(problem.weight, diag, diag)]
     if problem.omega is not None:
         u, w, g = problem.weight, problem.omega, problem.g
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
         left[K, :K] = left[:K, K] = g * w - ddw
         left[K, K] = np.sum(dw * dw + g * w * w)
-        right[K, :K] = right[:K, K] = u * w
-        right[K, K] = np.sum(u * w * w)
+        border = u * w
+        edge = np.full(K + 1, K)
+        triplets += [(border, diag, edge[:K]),
+                     (np.append(border, np.sum(border * w)), edge, np.arange(K + 1))]
+    values, rows, columns = map(np.concatenate, zip(*triplets))
+    right = scipy.sparse.csr_array((values, (rows, columns)), shape=(n, n))
     return left, right
 
 

@@ -248,8 +248,14 @@ def _d2_column(K: int) -> np.ndarray:
 def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np.ndarray | float:
     """Evaluate the sinc interpolant of nodal ``values`` at x > 0.
 
-    Computes sum_m values[m] * S(m, a)(phi(x)).  At a sinc point x_n the
-    cardinal property returns values[n] up to round-off.
+    Computes sum_m values[m] * S(m, a)(phi(x)).  With t = phi(x)/a,
+    k = rint(t) and r = t - k, every term shares one sine,
+
+        sinc(t - m) = (-1)^(k - m) sin(pi r) / (pi (t - m)),
+
+    so each abscissa costs one sine, and the sum is one reciprocal pass
+    and one matrix-vector product over the m.  Where t is an integer the
+    interpolant is the nodal value there, or 0 off the grid.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):
@@ -257,9 +263,21 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0) or np.any(np.isnan(x_arr)):
         raise ValueError("interpolate requires x > 0")
-    z = np.atleast_1d(np.asarray(map_forward(x_arr), dtype=float))
-    t = z[:, None] / grid.a - grid.indices[None, :]
-    result = np.asarray(_reduced_sinc(t)) @ values
+    t = np.atleast_1d(np.asarray(map_forward(x_arr), dtype=float)) / grid.a
+    k = np.rint(t)
+    r = t - k
+    on_node = r == 0.0
+    # shift node rows off the grid so that no 1/0 is formed; they are overwritten
+    inverse = np.subtract.outer(np.where(on_node, t + 0.5, t), grid.indices)
+    np.reciprocal(inverse, out=inverse)
+    alternating = np.where(grid.indices % 2 == 0, values, -values)
+    k_sign = np.where(k % 2.0 == 0.0, 1.0, -1.0)
+    result = k_sign * np.sin(np.pi * r) / np.pi * (inverse @ alternating)
+    nodes = np.flatnonzero(on_node)
+    offset = k[nodes].astype(int) + grid.M
+    inside = (offset >= 0) & (offset < grid.size)
+    result[nodes] = 0.0
+    result[nodes[inside]] = values[offset[inside]]
     if x_arr.ndim == 0:
         return float(result[0])
     return result

@@ -184,3 +184,12 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "not positive definite" in err
+
+    def test_pencil_larger_than_memory_is_exit_1(self, capsys, monkeypatch):
+        import sinccol.collocation as collocation
+
+        monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**6)
+        code, out, err = run_cli(capsys, "eigen", "--l", "4", "--count", "5", "--M", "100")
+        assert code == 1
+        assert out == ""
+        assert "K = 551" in err and "reduce M" in err

@@ -144,6 +144,19 @@ class TestSolve:
         with pytest.raises(EigenSolveError, match="not positive definite"):
             solve(problem, 3)
 
+    def test_pencil_larger_than_memory_is_refused(self, monkeypatch):
+        import sinccol.collocation as collocation
+
+        def fail_to_allocate(*args, **kwargs):
+            raise AssertionError("the pencil was allocated")
+
+        # K = 13751 at l = 4, M = 2500: 1.51 GB against a pretended 1 GB
+        monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**9)
+        problem = flagship_problem(4, M=2500)
+        monkeypatch.setattr(collocation.np, "zeros", fail_to_allocate)
+        with pytest.raises(ValueError, match=r"K = 13751 needs 1\.51 GB.* has 1 GB.*reduce M"):
+            solve(problem, 5)
+
     def test_oscillator_l1_matches_closed_form_and_shooting(self):
         # radial oscillator, l = 1: exact levels 4n + 2l + 2 = 4, 8, 12
         q = lambda x: 3.0 / (4.0 * x**2) + x**2

@@ -148,3 +148,59 @@ class TestPencil:
         for count in (0, 6):
             with pytest.raises(ValueError):
                 eigh_pencil(lambda: (left.copy(), right.copy()), count)
+
+    @pytest.mark.parametrize("l", [0, 4])
+    def test_lanczos_matches_dense_on_flagship_pencil(self, l):
+        import scipy.linalg
+        import scipy.sparse
+
+        from sinccol import flagship_problem
+        from sinccol.collocation import _pencil_matrices
+
+        problem = flagship_problem(l, M=100)
+        build = lambda: _pencil_matrices(problem)
+        left, right = build()
+        assert scipy.sparse.issparse(right)
+        K = problem.grid.size
+        # l = 0 is bordered: right is diag(u) plus one border row and column
+        assert right.nnz == (3 * K + 1 if l == 0 else K)
+        mu = scipy.linalg.eigh(right.toarray(), left, eigvals_only=True)
+        dense = np.sort(1.0 / mu[mu > 0.0])[:5]
+        dec = eigh_pencil(build, 5)
+        assert np.allclose(dec.eigenvalues, dense, rtol=1e-12, atol=0.0)
+        assert np.all(dec.residuals <= RESIDUAL_TOL)
+
+    def test_repeated_solves_are_bit_identical(self):
+        left, right = self.random_pencil(60, 11)
+        build = lambda: (left.copy(), right.copy())
+        first, second = eigh_pencil(build, 5), eigh_pencil(build, 5)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+    @pytest.mark.parametrize("spare", [1, 0])
+    def test_nearly_full_spectrum_takes_the_dense_branch(self, spare, monkeypatch):
+        from sinccol import dense_eig
+
+        def no_lanczos(*args, **kwargs):
+            raise AssertionError("Lanczos called for count >= n - 1")
+
+        monkeypatch.setattr(dense_eig, "eigsh", no_lanczos)
+        n = 8
+        left, right = self.random_pencil(n, 5)
+        dec = eigh_pencil(lambda: (left.copy(), right.copy()), n - spare)
+        full = np.sort(eig(np.linalg.solve(right, left)).eigenvalues.real)
+        assert np.allclose(dec.eigenvalues, full[:n - spare], rtol=1e-10)
+        assert np.all(dec.residuals <= RESIDUAL_TOL)
+
+    def test_lanczos_non_convergence_is_reported(self, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        from sinccol import dense_eig
+
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("synthetic non-convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(dense_eig, "eigsh", fail)
+        left, right = self.random_pencil(30, 2)
+        with pytest.raises(EigenSolveError, match="ArpackNoConvergence"):
+            eigh_pencil(lambda: (left.copy(), right.copy()), 4)

@@ -237,6 +237,35 @@ class TestInterpolate:
         assert arr[0] == pytest.approx(interpolate(g, values, 0.3), rel=1e-14)
         assert arr[1] == pytest.approx(interpolate(g, values, 1.7), rel=1e-14)
 
+    def test_matches_the_term_by_term_sum(self):
+        # the reference sums sinc_basis term by term, one sine per term
+        g = build_grid(2.5, 1.0, D4, 60)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(g.size)
+        xs = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(40.0), 300)))
+        z = np.asarray(map_forward(xs))
+        want = sum(v * sinc_basis(m, g.a, z) for m, v in zip(g.indices, values))
+        assert np.all(np.abs(interpolate(g, values, xs) - want)
+                      <= 1e-14 * np.sum(np.abs(values)))
+
+    def test_exact_nodes_inside_and_outside_the_grid(self, monkeypatch):
+        import dataclasses
+
+        import sinccol.sinc as sinc
+
+        # with z = x - 10 and a = 1/2, x = 10 + k/2 lands exactly on t = k
+        g = dataclasses.replace(build_grid(1.0, 1.0, D4, 3), a=0.5)
+        monkeypatch.setattr(sinc, "map_forward", lambda x: np.asarray(x) - 10.0)
+        values = np.arange(1.0, g.size + 1.0)
+        k = np.arange(-g.M - 2, g.N + 3)
+        got = interpolate(g, values, 10.0 + 0.5 * k)
+        inside = (k >= -g.M) & (k <= g.N)
+        assert np.array_equal(got[inside], values)
+        assert np.all(got[~inside] == 0.0)
+        off_node = interpolate(g, values, 10.25)
+        assert off_node == pytest.approx(
+            sum(v * sinc_basis(m, 1.0, 0.5) for m, v in zip(g.indices, values)), rel=1e-14)
+
 
 class TestQuadrature:
     def test_gamma_integrand(self):
