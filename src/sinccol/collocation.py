@@ -140,9 +140,86 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _pencil_matrices(problem: CollocationProblem) -> tuple[np.ndarray, scipy.sparse.csr_array]:
-    """The (possibly bordered) pencil: the dense left matrix, Fortran-ordered
-    for LAPACK, and the sparse right one, diag(u) or its arrowhead border.
+@dataclass(frozen=True)
+class _LeftStructure:
+    """The pencil's left matrix by its pieces: the symmetric Toeplitz block
+    T[i, j] = column[|i - j|], plus diag(g), and at alpha = 1/2 the border
+    row and column ``border`` = g omega - omega'' with ``corner`` at (K, K).
+
+    ``dense`` fills the n x n matrix the eigensolve factors; the product
+    and the infinity norm of the residual contract come from the pieces
+    alone, in O(K log K) per column and O(K).
+    """
+
+    column: np.ndarray
+    g: np.ndarray
+    border: np.ndarray | None
+    corner: float
+
+    @classmethod
+    def of(cls, problem: CollocationProblem) -> _LeftStructure:
+        column = -_d2_column(problem.grid.size) / problem.grid.a**2
+        if problem.omega is None:
+            return cls(column, problem.g, None, 0.0)
+        u, w, g = problem.weight, problem.omega, problem.g
+        dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
+        ddw = 4.0 * w * u * (u - w)
+        return cls(column, g, g * w - ddw, float(np.sum(dw * dw + g * w * w)))
+
+    def dense(self) -> np.ndarray:
+        """The n x n left matrix, Fortran-ordered for LAPACK."""
+        K = self.column.size
+        n = K if self.border is None else K + 1
+        left = np.zeros((n, n), order="F")
+        # copied from a strided view of the 2K - 1 distinct entries:
+        # t[K - 1 + d] is entry (i, i + d)
+        t = np.concatenate((self.column[:0:-1], self.column))
+        left[:K, :K] = as_strided(t[K - 1:], shape=(K, K), strides=(-t.itemsize, t.itemsize),
+                                  writeable=False)
+        diag = np.arange(K)
+        left[diag, diag] += self.g
+        if self.border is not None:
+            left[K, :K] = left[:K, K] = self.border
+            left[K, K] = self.corner
+        return left
+
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        """left @ V for an n x k array V: T by its circulant embedding of
+        power-of-two length L >= 2K - 1 through the real FFT (Chan & Ng,
+        SIAM Review 38 (1996) 427), then diag(g) and the border."""
+        K = self.column.size
+        L = 1 << (2 * K - 2).bit_length()
+        circulant = np.zeros(L)
+        circulant[:K] = self.column
+        circulant[L - K + 1:] = self.column[:0:-1]
+        X = V[:K]
+        out = np.fft.irfft(np.fft.rfft(circulant)[:, None] * np.fft.rfft(X, n=L, axis=0),
+                           n=L, axis=0)[:K]
+        out += self.g[:, None] * X
+        if self.border is None:
+            return out
+        out += self.border[:, None] * V[K][None, :]
+        return np.vstack((out, self.border @ X + self.corner * V[K]))
+
+    def norm_inf(self) -> float:
+        """max_i sum_j |left[i, j]|, exactly: with C = cumsum |column|, row
+        i of T + diag(g) sums to |column[0] + g_i| + (C[i] - C[0])
+        + (C[K - 1 - i] - C[0])."""
+        C = np.cumsum(np.abs(self.column))
+        rows = np.abs(self.column[0] + self.g) + (C - C[0]) + (C[::-1] - C[0])
+        if self.border is None:
+            return float(rows.max())
+        rows += np.abs(self.border)
+        return float(max(rows.max(), np.sum(np.abs(self.border)) + abs(self.corner)))
+
+
+def _pencil_matrices(problem: CollocationProblem) -> tuple[
+        np.ndarray, scipy.sparse.csr_array, Callable[[np.ndarray], np.ndarray], float]:
+    """The (possibly bordered) pencil: the dense left matrix,
+    Fortran-ordered for LAPACK, the sparse right one, diag(u) or its
+    arrowhead border, and the product V -> left @ V and ||left||_inf of
+    the residual contract, computed from ``_LeftStructure`` without the
+    dense matrix.
 
     A left matrix larger than the machine's physical memory is a
     ValueError, raised before anything is allocated.
@@ -154,30 +231,18 @@ def _pencil_matrices(problem: CollocationProblem) -> tuple[np.ndarray, scipy.spa
     if need > have:
         raise ValueError(f"the pencil at K = {K} needs {need / 1e9:.3g} GB, but this machine has "
                          f"{have / 1e9:.3g} GB of memory; reduce M")
-    left = np.zeros((n, n), order="F")
-    # symmetric Toeplitz block, copied from a strided view of its 2K - 1
-    # distinct entries: t[K - 1 + d] is entry (i, i + d)
-    column = -_d2_column(K) / grid.a**2
-    t = np.concatenate((column[:0:-1], column))
-    left[:K, :K] = as_strided(t[K - 1:], shape=(K, K), strides=(-t.itemsize, t.itemsize),
-                              writeable=False)
-    diag = np.arange(K)
-    left[diag, diag] += problem.g
+    structure = _LeftStructure.of(problem)
     # right as (value, row, column) triplets: diag(u), then the border
+    diag = np.arange(K)
     triplets = [(problem.weight, diag, diag)]
     if problem.omega is not None:
-        u, w, g = problem.weight, problem.omega, problem.g
-        dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
-        ddw = 4.0 * w * u * (u - w)
-        left[K, :K] = left[:K, K] = g * w - ddw
-        left[K, K] = np.sum(dw * dw + g * w * w)
-        border = u * w
+        border = problem.weight * problem.omega
         edge = np.full(K + 1, K)
         triplets += [(border, diag, edge[:K]),
-                     (np.append(border, np.sum(border * w)), edge, np.arange(K + 1))]
+                     (np.append(border, np.sum(border * problem.omega)), edge, np.arange(K + 1))]
     values, rows, columns = map(np.concatenate, zip(*triplets))
     right = scipy.sparse.csr_array((values, (rows, columns)), shape=(n, n))
-    return left, right
+    return structure.dense(), right, structure.__matmul__, structure.norm_inf()
 
 
 def _positive_peak(vec: np.ndarray) -> np.ndarray:

@@ -7,14 +7,21 @@ of its left matrix: implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) needs only products with the reduced
 operator, two triangular solves each, so the K x K matrix is never
 tridiagonalized.  Only when nearly the whole spectrum is asked for, which
-ARPACK cannot return, does the pencil go to dsygvx.  The per-pair residual
-contract is verified here: every returned pair must satisfy
+ARPACK cannot return, does the pencil go to dsygvx.  The caller's
+``build()`` is called once: it returns the dense left matrix, which the
+solve overwrites, together with the product V -> left @ V and the norm
+||left||_inf, which the caller computes from the matrix's structure
+(for the sinc pencil a Toeplitz product by FFT), so the residual needs no
+second dense matrix.  The per-pair residual contract is verified here:
+every returned pair must satisfy
 
     ||A v - lambda v||_inf <= 1e-8 * ||A||_inf * ||v||_inf
 
 for a matrix, and for a pencil A v = lambda B v
 
-    ||A v - lambda B v||_inf <= 1e-8 * (||A||_inf + |lambda| ||B||_inf) * ||v||_inf.
+    ||A v - lambda B v||_inf <= 1e-8 * (||A||_inf + |lambda| ||B||_inf) * ||v||_inf,
+
+and a non-finite residual violates it.
 """
 
 from __future__ import annotations
@@ -67,11 +74,16 @@ def _pair_residuals(A: np.ndarray, w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _check_contract(residuals: np.ndarray) -> None:
     worst = float(np.max(residuals))
-    if worst > RESIDUAL_TOL:
-        raise EigenSolveError(
-            f"residual contract violated: max relative residual {worst:.3e} "
-            f"exceeds {RESIDUAL_TOL:.1e}"
-        )
+    if worst <= RESIDUAL_TOL:
+        return
+    if not np.isfinite(worst):
+        j = int(np.flatnonzero(~np.isfinite(residuals))[0])
+        raise EigenSolveError(f"residual contract violated: pair {j} has the non-finite "
+                              f"relative residual {residuals[j]}")
+    raise EigenSolveError(
+        f"residual contract violated: max relative residual {worst:.3e} "
+        f"exceeds {RESIDUAL_TOL:.1e}"
+    )
 
 
 def eig(matrix: np.ndarray) -> EigenDecomposition:
@@ -127,8 +139,8 @@ def _largest_reduced(left: np.ndarray, right, count: int) -> tuple[np.ndarray, n
 def _largest_dense(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` largest mu of right v = mu left v, ascending, by dsygvx."""
     n = left.shape[0]
-    if scipy.sparse.issparse(right):
-        right = right.toarray()
+    # a copy: the caller's right is still needed for the residual
+    right = right.toarray() if scipy.sparse.issparse(right) else np.array(right, dtype=float)
     try:
         return scipy.linalg.eigh(right, left, subset_by_index=[n - count, n - 1],
                                  overwrite_a=True, overwrite_b=True, check_finite=False)
@@ -138,16 +150,21 @@ def _largest_dense(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.
         raise EigenSolveError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def eigh_pencil(build: Callable[[], tuple[np.ndarray, np.ndarray | scipy.sparse.sparray]],
+def eigh_pencil(build: Callable[[], tuple[np.ndarray, np.ndarray | scipy.sparse.sparray,
+                                          Callable[[np.ndarray], np.ndarray], float]],
                 count: int) -> EigenDecomposition:
     """Lowest ``count`` eigenpairs of left v = lambda right v, ascending.
 
-    ``build()`` returns a fresh pair (left, right): ``left`` a dense n x n
-    symmetric positive definite array, ``right`` a symmetric positive
-    semidefinite n x n array or scipy sparse matrix.  It is called twice:
-    the solve works in place in the first pair, and the residual contract
-    is checked against the second, so that only one dense matrix is alive
-    at a time.  A Fortran-ordered ``left`` avoids a copy.
+    ``build()`` is called once and returns (left, right, left_times,
+    left_norm): ``left`` a dense n x n symmetric positive definite array,
+    which the solve overwrites (a Fortran-ordered one avoids a copy),
+    ``right`` a symmetric positive semidefinite n x n array or scipy
+    sparse matrix, left unchanged, ``left_times(V)`` the product left @ V
+    for an n x k array V and ``left_norm`` the infinity norm of left.  The
+    residual contract takes its product and norm from these two, so the
+    dense left is built once; a structured caller computes them from the
+    matrix's pieces, which also checks the pairs against a second
+    construction of the same matrix.
 
     The roles are swapped: with the Cholesky factor L of ``left``, the
     bounded operator L^-1 right L^-T is searched for its ``count`` largest
@@ -159,25 +176,25 @@ def eigh_pencil(build: Callable[[], tuple[np.ndarray, np.ndarray | scipy.sparse.
     reach, LAPACK dsygvx reduces the whole pencil instead.  Raises
     EigenSolveError if ``left`` is not positive definite, if Lanczos does
     not converge, if a requested mu is not positive (lambda infinite) or
-    if any pair misses the residual contract.
+    if any pair misses the residual contract, a non-finite residual
+    included.
     """
-    left, right = build()
+    left, right, left_times, left_norm = build()
     n = left.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"count must lie in [1, {n}], got {count}")
     solver = _largest_dense if count >= n - 1 else _largest_reduced
     mu, V = solver(left, right, count)
-    del left, right
+    del left
     if not mu[0] > 0.0:
         raise EigenSolveError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
                               "eigenvalues are finite")
     lam = 1.0 / mu[::-1]
     V = V[:, ::-1]
 
-    left, right = build()
-    R = left @ V - (right @ V) * lam[None, :]
-    # LAPACK's norm needs no K x K temporary; right may be sparse
-    scale = lapack.dlange("I", left) + np.abs(lam) * abs(right).sum(axis=1).max()
+    R = left_times(V) - (right @ V) * lam[None, :]
+    # right may be sparse
+    scale = left_norm + np.abs(lam) * abs(right).sum(axis=1).max()
     denom = np.maximum(scale * np.max(np.abs(V), axis=0), np.finfo(float).tiny)
     residuals = np.max(np.abs(R), axis=0) / denom
     _check_contract(residuals)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +161,32 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"K = 13751 needs 1\.51 GB.* has 1 GB.*reduce M"):
             solve(problem, 5)
 
+    def test_solve_builds_the_dense_pencil_once(self, monkeypatch):
+        import sinccol.collocation as collocation
+
+        calls = []
+        build = collocation._pencil_matrices
+
+        def counted(problem):
+            calls.append(problem)
+            return build(problem)
+
+        monkeypatch.setattr(collocation, "_pencil_matrices", counted)
+        pairs = solve(flagship_problem(0, M=25), 5)
+        assert len(pairs) == 5
+        assert len(calls) == 1
+
+    def test_solve_does_not_import_scipy_fft(self):
+        # scipy.fft costs about 0.1 s per interpreter; numpy.fft is loaded anyway
+        import sinccol
+
+        src = pathlib.Path(sinccol.__file__).parents[1]
+        code = ("import sys, sinccol; sinccol.solve_states(1, 5, M=10); "
+                "print('scipy.fft' in sys.modules, 'numpy.fft' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.split() == ["False", "True"]
+
     def test_oscillator_l1_matches_closed_form_and_shooting(self):
         # radial oscillator, l = 1: exact levels 4n + 2l + 2 = 4, 8, 12
         q = lambda x: 3.0 / (4.0 * x**2) + x**2
@@ -192,3 +222,25 @@ class TestReconstruct:
         grid, pairs = l0_states
         with pytest.raises(ValueError):
             reconstruct(grid, pairs[0], -1.0)
+
+
+class TestLeftStructure:
+    """The residual contract's product and norm, computed from the pencil's
+    Toeplitz, diagonal and border pieces, against the dense left matrix."""
+
+    @pytest.mark.parametrize("M", [1, 2, 25, 100])
+    @pytest.mark.parametrize("l", [0, 1, 4])
+    def test_product_and_norm_match_the_dense_matrix(self, l, M):
+        from scipy.linalg import lapack
+
+        from sinccol.collocation import _pencil_matrices
+
+        problem = flagship_problem(l, M=M)
+        left, _, times, norm = _pencil_matrices(problem)
+        n = left.shape[0]
+        # l = 0 is bordered with the boundary function
+        assert n == problem.grid.size + (l == 0)
+        V = np.random.default_rng(l * 1000 + M).standard_normal((n, 5))
+        dense = left @ V
+        assert np.max(np.abs(times(V) - dense)) <= 1e-14 * np.max(np.abs(dense))
+        assert norm == pytest.approx(lapack.dlange("I", left), rel=1e-14, abs=0.0)

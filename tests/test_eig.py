@@ -75,6 +75,29 @@ class TestValidation:
         with pytest.raises(EigenSolveError, match="converge"):
             dense_eig.eig(np.eye(2))
 
+    def test_nan_residual_fails_the_contract(self):
+        from sinccol import dense_eig
+
+        with pytest.raises(EigenSolveError, match=r"pair 1 has the non-finite relative residual nan"):
+            dense_eig._check_contract(np.array([1e-12, np.nan]))
+
+    def test_nan_product_is_reported(self, monkeypatch):
+        import scipy.linalg
+
+        from sinccol import dense_eig
+
+        solve = scipy.linalg.eig
+
+        def nan_vector(A):
+            # a NaN in one eigenvector makes its residual product NaN
+            w, V = solve(A)
+            V[0, 1] = np.nan
+            return w, V
+
+        monkeypatch.setattr(dense_eig.scipy.linalg, "eig", nan_vector)
+        with pytest.raises(EigenSolveError, match="non-finite"):
+            dense_eig.eig(np.diag([1.0, 2.0, 3.0]))
+
 
 class TestProperties:
     # entry magnitudes bounded away from the underflow range, where LAPACK
@@ -118,9 +141,16 @@ class TestPencil:
         right = np.diag(rng.uniform(0.1, 2.0, n))
         return left, right
 
+    @staticmethod
+    def build(left, right):
+        """A fresh copy of ``left`` per call; the residual's product and
+        norm come from the saved one."""
+        norm = np.abs(left).sum(1).max()
+        return lambda: (left.copy(), right, left.__matmul__, norm)
+
     def test_matches_generalized_eigenvalues(self):
         left, right = self.random_pencil(30, 7)
-        dec = eigh_pencil(lambda: (left.copy(), right.copy()), 4)
+        dec = eigh_pencil(self.build(left, right), 4)
         # reference: the full spectrum of right^-1 left, by the nonsymmetric solver
         full = np.sort(eig(np.linalg.solve(right, left)).eigenvalues.real)
         assert np.allclose(dec.eigenvalues, full[:4], rtol=1e-10)
@@ -133,21 +163,21 @@ class TestPencil:
         # a zero weight is an infinite eigenvalue, never one of the lowest
         left = np.diag([2.0, 3.0, 5.0])
         right = np.diag([1.0, 0.0, 1.0])
-        dec = eigh_pencil(lambda: (left.copy(), right.copy()), 2)
+        dec = eigh_pencil(self.build(left, right), 2)
         assert np.allclose(dec.eigenvalues, [2.0, 5.0], rtol=1e-14)
         with pytest.raises(EigenSolveError, match="finite"):
-            eigh_pencil(lambda: (left.copy(), right.copy()), 3)
+            eigh_pencil(self.build(left, right), 3)
 
     def test_indefinite_left_matrix(self):
         left = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(EigenSolveError, match="not positive definite"):
-            eigh_pencil(lambda: (left.copy(), np.eye(3)), 1)
+            eigh_pencil(self.build(left, np.eye(3)), 1)
 
     def test_count_validation(self):
         left, right = self.random_pencil(5, 1)
         for count in (0, 6):
             with pytest.raises(ValueError):
-                eigh_pencil(lambda: (left.copy(), right.copy()), count)
+                eigh_pencil(self.build(left, right), count)
 
     @pytest.mark.parametrize("l", [0, 4])
     def test_lanczos_matches_dense_on_flagship_pencil(self, l):
@@ -159,7 +189,7 @@ class TestPencil:
 
         problem = flagship_problem(l, M=100)
         build = lambda: _pencil_matrices(problem)
-        left, right = build()
+        left, right, _, _ = build()
         assert scipy.sparse.issparse(right)
         K = problem.grid.size
         # l = 0 is bordered: right is diag(u) plus one border row and column
@@ -172,7 +202,7 @@ class TestPencil:
 
     def test_repeated_solves_are_bit_identical(self):
         left, right = self.random_pencil(60, 11)
-        build = lambda: (left.copy(), right.copy())
+        build = self.build(left, right)
         first, second = eigh_pencil(build, 5), eigh_pencil(build, 5)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
@@ -187,7 +217,7 @@ class TestPencil:
         monkeypatch.setattr(dense_eig, "eigsh", no_lanczos)
         n = 8
         left, right = self.random_pencil(n, 5)
-        dec = eigh_pencil(lambda: (left.copy(), right.copy()), n - spare)
+        dec = eigh_pencil(self.build(left, right), n - spare)
         full = np.sort(eig(np.linalg.solve(right, left)).eigenvalues.real)
         assert np.allclose(dec.eigenvalues, full[:n - spare], rtol=1e-10)
         assert np.all(dec.residuals <= RESIDUAL_TOL)
@@ -203,4 +233,31 @@ class TestPencil:
         monkeypatch.setattr(dense_eig, "eigsh", fail)
         left, right = self.random_pencil(30, 2)
         with pytest.raises(EigenSolveError, match="ArpackNoConvergence"):
-            eigh_pencil(lambda: (left.copy(), right.copy()), 4)
+            eigh_pencil(self.build(left, right), 4)
+
+    def test_nan_product_is_reported(self):
+        left, right = self.random_pencil(30, 4)
+        norm = np.abs(left).sum(1).max()
+        build = lambda: (left.copy(), right, lambda V: np.full(V.shape, np.nan), norm)
+        with pytest.raises(EigenSolveError, match="non-finite"):
+            eigh_pencil(build, 4)
+
+    @pytest.mark.parametrize("l", [0, 4])
+    def test_perturbed_product_breaks_the_contract(self, l):
+        from sinccol import flagship_problem
+        from sinccol.collocation import _pencil_matrices
+
+        problem = flagship_problem(l, M=25)
+
+        def build():
+            left, right, times, norm = _pencil_matrices(problem)
+
+            def perturbed(V):
+                product = times(V)
+                return product + 1e-6 * np.max(np.abs(product))
+
+            return left, right, perturbed, norm
+
+        assert np.all(eigh_pencil(lambda: _pencil_matrices(problem), 5).residuals <= RESIDUAL_TOL)
+        with pytest.raises(EigenSolveError, match="residual contract violated"):
+            eigh_pencil(build, 5)
