@@ -120,8 +120,8 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error("--l and --n must be nonnegative")
         if args.M < 1:
             parser.error("--M must be >= 1")
-        if not 0 < args.x_min < args.x_max:
-            parser.error("require 0 < x-min < x-max")
+        if not 0 < args.x_min < args.x_max < math.inf:
+            parser.error("require 0 < x-min < x-max < inf")
         if args.samples < 1:
             parser.error("--samples must be >= 1")
     else:

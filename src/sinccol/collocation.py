@@ -54,7 +54,8 @@ import numpy as np
 import scipy.sparse
 from numpy.lib.stride_tricks import as_strided
 
-from .dense_eig import eig, eigh_pencil  # eig is unused here; perfbench/layers.py wraps this name
+# eig is unused here; perfbench/layers.py wraps this name
+from .dense_eig import _validate_count, eig, eigh_pencil
 from .sinc import SincGrid, _d2_column, _evaluate_on_points, build_deltas, interpolate
 
 __all__ = [
@@ -88,17 +89,11 @@ class CollocationProblem:
     def matrix(self) -> np.ndarray:
         """The paper's dense K x K collocation matrix, built on each access."""
         grid = self.grid
-        pot_vals = _evaluate_on_points(self.potential, grid.points)
         deltas = build_deltas(grid)
         e2m = -grid.phi2  # e^(-2ma), stored on the grid as phi''(x_m) = -e^(-2ma)
-        # diag(q) + d1 * col1 - d2 * col2, formed in the buffers of the freshly
-        # built d1 and d2 so that the build holds no K x K temporaries
-        matrix = deltas.d1
-        matrix *= (e2m / grid.a)[None, :]
-        matrix[np.diag_indices(grid.size)] += pot_vals  # d1 is zero on the diagonal
-        scaled_d2 = deltas.d2
-        scaled_d2 *= ((1.0 + e2m) / grid.a**2)[None, :]
-        matrix -= scaled_d2
+        # the factors scale the columns
+        matrix = (np.diag(_evaluate_on_points(self.potential, grid.points))
+                  + deltas.d1 * (e2m / grid.a) - deltas.d2 * ((1.0 + e2m) / grid.a**2))
         if not np.all(np.isfinite(matrix)):
             raise ValueError("collocation matrix has nonfinite entries; reduce M")
         return matrix
@@ -263,9 +258,9 @@ def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
     """
     grid = problem.grid
     K = grid.size
-    if not 1 <= count <= K:
-        raise ValueError(f"count must lie in [1, {K}], got {count}")
-    decomp = eigh_pencil(lambda: _pencil_matrices(problem), count)
+    _validate_count(count, K)
+    left, right, left_times, left_norm = _pencil_matrices(problem)
+    decomp = eigh_pencil(left, right, count, left_times, left_norm)
     V = decomp.eigenvectors
     nodal = V[:K]
     if problem.omega is not None:

@@ -7,13 +7,12 @@ of its left matrix: implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) needs only products with the reduced
 operator, two triangular solves each, so the K x K matrix is never
 tridiagonalized.  Only when nearly the whole spectrum is asked for, which
-ARPACK cannot return, does the pencil go to dsygvx.  The caller's
-``build()`` is called once: it returns the dense left matrix, which the
-solve overwrites, together with the product V -> left @ V and the norm
-||left||_inf, which the caller computes from the matrix's structure
-(for the sinc pencil a Toeplitz product by FFT), so the residual needs no
-second dense matrix.  The per-pair residual contract is verified here:
-every returned pair must satisfy
+ARPACK cannot return, does the pencil go to dsygvx.  The caller passes
+the dense left matrix, which the solve overwrites, together with the
+product V -> left @ V and the norm ||left||_inf, which it computes from
+the matrix's structure (for the sinc pencil a Toeplitz product by FFT),
+so the residual needs no second dense matrix.  One function verifies the
+per-pair residual contract for both: every returned pair must satisfy
 
     ||A v - lambda v||_inf <= 1e-8 * ||A||_inf * ||v||_inf
 
@@ -59,23 +58,14 @@ class EigenDecomposition:
     residuals: np.ndarray
 
 
-def _pair_residuals(A: np.ndarray, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    # Split the complex GEMM into real parts; for real spectra the
-    # imaginary part is exactly zero and half the work is skipped.
-    R = (A @ V.real).astype(complex)
-    if np.any(V.imag):
-        R += 1j * (A @ V.imag)
-    R -= V * w[None, :]
-    norm_a = np.max(np.sum(np.abs(A), axis=1))
-    vec_inf = np.max(np.abs(V), axis=0)
-    denom = np.maximum(norm_a * vec_inf, np.finfo(float).tiny)
-    return np.max(np.abs(R), axis=0) / denom
-
-
-def _check_contract(residuals: np.ndarray) -> None:
+def _relative_residuals(R: np.ndarray, V: np.ndarray, scale: np.ndarray | float) -> np.ndarray:
+    """max|R| / (scale max|V|) per column, the relative residual of each
+    pair; raises EigenSolveError unless every one is <= RESIDUAL_TOL."""
+    denom = np.maximum(scale * np.max(np.abs(V), axis=0), np.finfo(float).tiny)
+    residuals = np.max(np.abs(R), axis=0) / denom
     worst = float(np.max(residuals))
     if worst <= RESIDUAL_TOL:
-        return
+        return residuals
     if not np.isfinite(worst):
         j = int(np.flatnonzero(~np.isfinite(residuals))[0])
         raise EigenSolveError(f"residual contract violated: pair {j} has the non-finite "
@@ -84,6 +74,14 @@ def _check_contract(residuals: np.ndarray) -> None:
         f"residual contract violated: max relative residual {worst:.3e} "
         f"exceeds {RESIDUAL_TOL:.1e}"
     )
+
+
+def _validate_count(count, limit: int) -> None:
+    """``count`` must be an integer in [1, limit]; a bool is not one."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count must be an integer, got {count!r}")
+    if not 1 <= count <= limit:
+        raise ValueError(f"count must lie in [1, {limit}], got {count}")
 
 
 def eig(matrix: np.ndarray) -> EigenDecomposition:
@@ -107,8 +105,7 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
     if np.any(np.max(np.abs(V), axis=0) == 0.0):
         raise EigenSolveError("eigensolver returned a zero eigenvector")
 
-    residuals = _pair_residuals(A, w, V)
-    _check_contract(residuals)
+    residuals = _relative_residuals(A @ V - V * w, V, np.max(np.sum(np.abs(A), axis=1)))
     return EigenDecomposition(eigenvalues=w, eigenvectors=V, residuals=residuals)
 
 
@@ -150,21 +147,20 @@ def _largest_dense(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.
         raise EigenSolveError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def eigh_pencil(build: Callable[[], tuple[np.ndarray, np.ndarray | scipy.sparse.sparray,
-                                          Callable[[np.ndarray], np.ndarray], float]],
-                count: int) -> EigenDecomposition:
+def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, count: int,
+                left_times: Callable[[np.ndarray], np.ndarray],
+                left_norm: float) -> EigenDecomposition:
     """Lowest ``count`` eigenpairs of left v = lambda right v, ascending.
 
-    ``build()`` is called once and returns (left, right, left_times,
-    left_norm): ``left`` a dense n x n symmetric positive definite array,
-    which the solve overwrites (a Fortran-ordered one avoids a copy),
-    ``right`` a symmetric positive semidefinite n x n array or scipy
-    sparse matrix, left unchanged, ``left_times(V)`` the product left @ V
-    for an n x k array V and ``left_norm`` the infinity norm of left.  The
-    residual contract takes its product and norm from these two, so the
-    dense left is built once; a structured caller computes them from the
-    matrix's pieces, which also checks the pairs against a second
-    construction of the same matrix.
+    ``left`` is a dense n x n symmetric positive definite array, which the
+    solve overwrites (a Fortran-ordered one avoids a copy); ``right`` is a
+    symmetric positive semidefinite n x n array or scipy sparse matrix,
+    left unchanged.  The residual contract takes its product and norm from
+    ``left_times(V)``, the product left @ V for an n x k array V, and
+    ``left_norm``, the infinity norm of left, so the dense left is built
+    once; a structured caller computes them from the matrix's pieces,
+    which also checks the pairs against a second construction of the same
+    matrix.  ``count`` must be an integer in [1, n].
 
     The roles are swapped: with the Cholesky factor L of ``left``, the
     bounded operator L^-1 right L^-T is searched for its ``count`` largest
@@ -179,23 +175,16 @@ def eigh_pencil(build: Callable[[], tuple[np.ndarray, np.ndarray | scipy.sparse.
     if any pair misses the residual contract, a non-finite residual
     included.
     """
-    left, right, left_times, left_norm = build()
     n = left.shape[0]
-    if not 1 <= count <= n:
-        raise ValueError(f"count must lie in [1, {n}], got {count}")
+    _validate_count(count, n)
     solver = _largest_dense if count >= n - 1 else _largest_reduced
     mu, V = solver(left, right, count)
-    del left
     if not mu[0] > 0.0:
         raise EigenSolveError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
                               "eigenvalues are finite")
     lam = 1.0 / mu[::-1]
     V = V[:, ::-1]
-
-    R = left_times(V) - (right @ V) * lam[None, :]
     # right may be sparse
     scale = left_norm + np.abs(lam) * abs(right).sum(axis=1).max()
-    denom = np.maximum(scale * np.max(np.abs(V), axis=0), np.finfo(float).tiny)
-    residuals = np.max(np.abs(R), axis=0) / denom
-    _check_contract(residuals)
+    residuals = _relative_residuals(left_times(V) - (right @ V) * lam[None, :], V, scale)
     return EigenDecomposition(eigenvalues=lam, eigenvectors=V, residuals=residuals)

@@ -139,9 +139,10 @@ def map_forward(w: np.ndarray | float) -> np.ndarray | float:
     out = np.empty_like(w_arr)
     small = w_arr <= 20.0
     out[small] = np.log(np.sinh(w_arr[small]))
-    # sinh overflows past ~710; ln(sinh w) = w - ln2 + log1p(-e^(-2w))
+    # sinh overflows past ~710; ln(sinh w) = w - ln2 + log1p(-e^(-2w)), and
+    # for w > 20 the last term is below half an ulp of w - ln2
     big = ~small
-    out[big] = w_arr[big] - _LN2 + np.log1p(-np.exp(-2.0 * w_arr[big]))
+    out[big] = w_arr[big] - _LN2
     if scalar:
         return float(out[0])
     return out
@@ -246,7 +247,7 @@ def _d2_column(K: int) -> np.ndarray:
 
 
 def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np.ndarray | float:
-    """Evaluate the sinc interpolant of nodal ``values`` at x > 0.
+    """Evaluate the sinc interpolant of nodal ``values`` at finite x > 0.
 
     Computes sum_m values[m] * S(m, a)(phi(x)).  With t = phi(x)/a,
     k = rint(t) and r = t - k, every term shares one sine,
@@ -261,9 +262,12 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     if values.shape != (grid.size,):
         raise ValueError(f"values must have shape ({grid.size},), got {values.shape}")
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0) or np.any(np.isnan(x_arr)):
-        raise ValueError("interpolate requires x > 0")
-    t = np.atleast_1d(np.asarray(map_forward(x_arr), dtype=float)) / grid.a
+    if not np.all((x_arr > 0.0) & np.isfinite(x_arr)):
+        raise ValueError("interpolate requires finite x > 0")
+    with np.errstate(over="ignore"):
+        t = np.atleast_1d(np.asarray(map_forward(x_arr), dtype=float)) / grid.a
+    if not np.all(np.isfinite(t)):
+        raise ValueError("interpolate requires phi(x)/a to be finite; x is too large")
     k = np.rint(t)
     r = t - k
     on_node = r == 0.0
@@ -274,10 +278,11 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     k_sign = np.where(k % 2.0 == 0.0, 1.0, -1.0)
     result = k_sign * np.sin(np.pi * r) / np.pi * (inverse @ alternating)
     nodes = np.flatnonzero(on_node)
-    offset = k[nodes].astype(int) + grid.M
+    offset = k[nodes] + grid.M
     inside = (offset >= 0) & (offset < grid.size)
     result[nodes] = 0.0
-    result[nodes[inside]] = values[offset[inside]]
+    # cast only the on-grid offsets: a huge t has no int
+    result[nodes[inside]] = values[offset[inside].astype(int)]
     if x_arr.ndim == 0:
         return float(result[0])
     return result

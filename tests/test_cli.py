@@ -116,6 +116,14 @@ class TestWavefunctionCommand:
                 main(["wavefunction", "--l", "0", "--M", "50"] + bad)
             assert err.value.code == 2
 
+    @pytest.mark.parametrize("bad", [["--x-max", "inf"], ["--x-min", "nan"],
+                                     ["--x-min", "-inf", "--x-max", "1"]])
+    def test_non_finite_window_is_a_usage_error(self, bad):
+        # --x-max inf used to exit 0 with inf,nan rows
+        with pytest.raises(SystemExit) as err:
+            main(["wavefunction", "--l", "0", "--M", "50"] + bad)
+        assert err.value.code == 2
+
 
 class TestConvergeCommand:
     def test_deltas_decrease_l1(self, capsys):

@@ -141,6 +141,19 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(problem, problem.grid.size + 1)
 
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_integer_count_is_refused_before_the_pencil_is_built(self, count, log_l1,
+                                                                      monkeypatch):
+        import sinccol.collocation as collocation
+
+        def no_build(problem):
+            raise AssertionError("the pencil was built")
+
+        monkeypatch.setattr(collocation, "_pencil_matrices", no_build)
+        problem, _ = log_l1
+        with pytest.raises(ValueError, match="count must be an integer"):
+            solve(problem, count)
+
     def test_non_positive_lowest_level_is_reported(self):
         # radial oscillator shifted down by 5, l = 1: levels -1, 3, 7
         q = lambda x: 3.0 / (4.0 * x**2) + x**2 - 5.0

@@ -102,6 +102,12 @@ class TestStates:
             for j in range(i + 1, 3):
                 assert abs(state_overlap(states[i], states[j])) <= 1e-6
 
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_integer_count_is_a_value_error(self, count):
+        # 2.5 used to reach ARPACK and fail there with a SystemError
+        with pytest.raises(ValueError, match="count must be an integer"):
+            solve_states(1, count, M=10)
+
     def test_overlap_requires_shared_grid(self, states):
         other = solve_states(1, 1, M=100)[0]
         with pytest.raises(ValueError):
@@ -151,6 +157,12 @@ class TestRadialFunction:
     def test_domain_error(self, l4_states):
         with pytest.raises(ValueError):
             evaluate_radial(l4_states[0], 0.0)
+
+    @pytest.mark.parametrize("x", [np.inf, 1e308])
+    def test_non_finite_or_overflowing_abscissa_is_an_error(self, l4_states, x):
+        # 1e308 is finite, but phi(x)/a overflows
+        with pytest.raises(ValueError, match="interpolate requires"):
+            evaluate_radial(l4_states[0], x)
 
     def test_renormalization_on_finer_grid(self, l4_states):
         # independent check of the unit norm: resample R^2 = f^2/x on a

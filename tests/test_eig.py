@@ -79,7 +79,7 @@ class TestValidation:
         from sinccol import dense_eig
 
         with pytest.raises(EigenSolveError, match=r"pair 1 has the non-finite relative residual nan"):
-            dense_eig._check_contract(np.array([1e-12, np.nan]))
+            dense_eig._relative_residuals(np.array([[1e-12, np.nan]]), np.ones((1, 2)), 1.0)
 
     def test_nan_product_is_reported(self, monkeypatch):
         import scipy.linalg
@@ -142,15 +142,15 @@ class TestPencil:
         return left, right
 
     @staticmethod
-    def build(left, right):
-        """A fresh copy of ``left`` per call; the residual's product and
-        norm come from the saved one."""
+    def solve(left, right, count):
+        """eigh_pencil on a fresh copy of ``left``; the residual's product
+        and norm come from the saved one."""
         norm = np.abs(left).sum(1).max()
-        return lambda: (left.copy(), right, left.__matmul__, norm)
+        return eigh_pencil(left.copy(), right, count, left.__matmul__, norm)
 
     def test_matches_generalized_eigenvalues(self):
         left, right = self.random_pencil(30, 7)
-        dec = eigh_pencil(self.build(left, right), 4)
+        dec = self.solve(left, right, 4)
         # reference: the full spectrum of right^-1 left, by the nonsymmetric solver
         full = np.sort(eig(np.linalg.solve(right, left)).eigenvalues.real)
         assert np.allclose(dec.eigenvalues, full[:4], rtol=1e-10)
@@ -163,21 +163,36 @@ class TestPencil:
         # a zero weight is an infinite eigenvalue, never one of the lowest
         left = np.diag([2.0, 3.0, 5.0])
         right = np.diag([1.0, 0.0, 1.0])
-        dec = eigh_pencil(self.build(left, right), 2)
+        dec = self.solve(left, right, 2)
         assert np.allclose(dec.eigenvalues, [2.0, 5.0], rtol=1e-14)
         with pytest.raises(EigenSolveError, match="finite"):
-            eigh_pencil(self.build(left, right), 3)
+            self.solve(left, right, 3)
 
     def test_indefinite_left_matrix(self):
         left = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(EigenSolveError, match="not positive definite"):
-            eigh_pencil(self.build(left, np.eye(3)), 1)
+            self.solve(left, np.eye(3), 1)
 
     def test_count_validation(self):
         left, right = self.random_pencil(5, 1)
         for count in (0, 6):
             with pytest.raises(ValueError):
-                eigh_pencil(self.build(left, right), count)
+                self.solve(left, right, count)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2", None])
+    def test_non_integer_count_is_refused_before_the_factorization(self, count):
+        left, right = self.random_pencil(5, 1)
+        left = np.asfortranarray(left)
+        saved = left.copy()
+        with pytest.raises(ValueError, match="count must be an integer"):
+            eigh_pencil(left, right, count, left.__matmul__, 1.0)
+        # dpotrf would have overwritten the Fortran-ordered left in place
+        assert np.array_equal(left, saved)
+
+    def test_numpy_integer_count_is_accepted(self):
+        left, right = self.random_pencil(30, 7)
+        assert np.array_equal(self.solve(left, right, np.int64(4)).eigenvalues,
+                              self.solve(left, right, 4).eigenvalues)
 
     @pytest.mark.parametrize("l", [0, 4])
     def test_lanczos_matches_dense_on_flagship_pencil(self, l):
@@ -188,22 +203,20 @@ class TestPencil:
         from sinccol.collocation import _pencil_matrices
 
         problem = flagship_problem(l, M=100)
-        build = lambda: _pencil_matrices(problem)
-        left, right, _, _ = build()
+        left, right, times, norm = _pencil_matrices(problem)
         assert scipy.sparse.issparse(right)
         K = problem.grid.size
         # l = 0 is bordered: right is diag(u) plus one border row and column
         assert right.nnz == (3 * K + 1 if l == 0 else K)
         mu = scipy.linalg.eigh(right.toarray(), left, eigvals_only=True)
         dense = np.sort(1.0 / mu[mu > 0.0])[:5]
-        dec = eigh_pencil(build, 5)
+        dec = eigh_pencil(left, right, 5, times, norm)
         assert np.allclose(dec.eigenvalues, dense, rtol=1e-12, atol=0.0)
         assert np.all(dec.residuals <= RESIDUAL_TOL)
 
     def test_repeated_solves_are_bit_identical(self):
         left, right = self.random_pencil(60, 11)
-        build = self.build(left, right)
-        first, second = eigh_pencil(build, 5), eigh_pencil(build, 5)
+        first, second = self.solve(left, right, 5), self.solve(left, right, 5)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
@@ -217,7 +230,7 @@ class TestPencil:
         monkeypatch.setattr(dense_eig, "eigsh", no_lanczos)
         n = 8
         left, right = self.random_pencil(n, 5)
-        dec = eigh_pencil(self.build(left, right), n - spare)
+        dec = self.solve(left, right, n - spare)
         full = np.sort(eig(np.linalg.solve(right, left)).eigenvalues.real)
         assert np.allclose(dec.eigenvalues, full[:n - spare], rtol=1e-10)
         assert np.all(dec.residuals <= RESIDUAL_TOL)
@@ -233,31 +246,25 @@ class TestPencil:
         monkeypatch.setattr(dense_eig, "eigsh", fail)
         left, right = self.random_pencil(30, 2)
         with pytest.raises(EigenSolveError, match="ArpackNoConvergence"):
-            eigh_pencil(self.build(left, right), 4)
+            self.solve(left, right, 4)
 
     def test_nan_product_is_reported(self):
         left, right = self.random_pencil(30, 4)
         norm = np.abs(left).sum(1).max()
-        build = lambda: (left.copy(), right, lambda V: np.full(V.shape, np.nan), norm)
         with pytest.raises(EigenSolveError, match="non-finite"):
-            eigh_pencil(build, 4)
+            eigh_pencil(left, right, 4, lambda V: np.full(V.shape, np.nan), norm)
 
     @pytest.mark.parametrize("l", [0, 4])
     def test_perturbed_product_breaks_the_contract(self, l):
         from sinccol import flagship_problem
         from sinccol.collocation import _pencil_matrices
 
-        problem = flagship_problem(l, M=25)
+        left, right, times, norm = _pencil_matrices(flagship_problem(l, M=25))
 
-        def build():
-            left, right, times, norm = _pencil_matrices(problem)
+        def perturbed(V):
+            product = times(V)
+            return product + 1e-6 * np.max(np.abs(product))
 
-            def perturbed(V):
-                product = times(V)
-                return product + 1e-6 * np.max(np.abs(product))
-
-            return left, right, perturbed, norm
-
-        assert np.all(eigh_pencil(lambda: _pencil_matrices(problem), 5).residuals <= RESIDUAL_TOL)
+        assert np.all(eigh_pencil(left.copy(), right, 5, times, norm).residuals <= RESIDUAL_TOL)
         with pytest.raises(EigenSolveError, match="residual contract violated"):
-            eigh_pencil(build, 5)
+            eigh_pencil(left, right, 5, perturbed, norm)

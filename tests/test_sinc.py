@@ -229,6 +229,18 @@ class TestInterpolate:
         with pytest.raises(ValueError):
             interpolate(g, np.zeros(g.size - 1), 1.0)
 
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, np.finfo(float).max])
+    def test_non_finite_x_or_t_is_an_error(self, x):
+        # at the largest double x, t = phi(x)/a overflows for a step a < 1
+        g = build_grid(1.0, 1.0, D4, 8)
+        with pytest.raises(ValueError, match="interpolate requires"):
+            interpolate(g, np.ones(g.size), np.array([1.0, x]))
+
+    def test_huge_finite_x_is_zero_without_a_warning(self):
+        # t = phi(1e300)/a is an integer far off the grid; warnings are errors
+        g = build_grid(1.0, 1.0, D4, 8)
+        assert interpolate(g, np.ones(g.size), 1e300) == 0.0
+
     def test_scalar_and_array_agree(self):
         g = build_grid(1.0, 1.0, D4, 16)
         values = np.sin(g.points)
