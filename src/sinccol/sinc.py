@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# about this many entries (512 KiB of float64) per row block of `interpolate`:
+# the fastest block size timed at K = 151, 551 and 2751 with 4000 abscissae
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -254,9 +257,13 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
 
         sinc(t - m) = (-1)^(k - m) sin(pi r) / (pi (t - m)),
 
-    so each abscissa costs one sine, and the sum is one reciprocal pass
-    and one matrix-vector product over the m.  Where t is an integer the
-    interpolant is the nodal value there, or 0 off the grid.
+    so each abscissa costs one sine, and the sum over the m runs over
+    row blocks of the abscissae: one reciprocal pass and one
+    matrix-vector product per block, in one reused buffer of about 2^16
+    entries (at least 16 rows), so P abscissae take O(P + K + 2^16)
+    memory rather than a P x K matrix.  Where t is an integer the
+    interpolant is the nodal value there, or 0 off the grid.  The result
+    has the shape of x, and a scalar x gives a float.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):
@@ -265,18 +272,27 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     if not np.all((x_arr > 0.0) & np.isfinite(x_arr)):
         raise ValueError("interpolate requires finite x > 0")
     with np.errstate(over="ignore"):
-        t = np.atleast_1d(np.asarray(map_forward(x_arr), dtype=float)) / grid.a
+        t = np.asarray(map_forward(x_arr.ravel()), dtype=float) / grid.a
     if not np.all(np.isfinite(t)):
         raise ValueError("interpolate requires phi(x)/a to be finite; x is too large")
     k = np.rint(t)
     r = t - k
     on_node = r == 0.0
     # shift node rows off the grid so that no 1/0 is formed; they are overwritten
-    inverse = np.subtract.outer(np.where(on_node, t + 0.5, t), grid.indices)
-    np.reciprocal(inverse, out=inverse)
-    alternating = np.where(grid.indices % 2 == 0, values, -values)
+    shifted = np.where(on_node, t + 0.5, t)
+    indices = grid.indices
+    alternating = np.where(indices % 2 == 0, values, -values)
+    cauchy = np.empty(t.size)
+    rows = _block_rows(grid.size)
+    buffer = np.empty((min(rows, t.size), grid.size))
+    for start in range(0, t.size, rows):
+        block = shifted[start:start + rows]
+        inverse = buffer[:block.size]
+        np.subtract(block[:, None], indices, out=inverse)
+        np.reciprocal(inverse, out=inverse)
+        np.matmul(inverse, alternating, out=cauchy[start:start + block.size])
     k_sign = np.where(k % 2.0 == 0.0, 1.0, -1.0)
-    result = k_sign * np.sin(np.pi * r) / np.pi * (inverse @ alternating)
+    result = k_sign * np.sin(np.pi * r) / np.pi * cauchy
     nodes = np.flatnonzero(on_node)
     offset = k[nodes] + grid.M
     inside = (offset >= 0) & (offset < grid.size)
@@ -285,7 +301,13 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     result[nodes[inside]] = values[offset[inside].astype(int)]
     if x_arr.ndim == 0:
         return float(result[0])
-    return result
+    return result.reshape(x_arr.shape)
+
+
+def _block_rows(size: int) -> int:
+    """Rows per block of `interpolate`: about _BLOCK_ENTRIES entries, in whole
+    groups of 16, so BLAS groups rows as one product over all of them would."""
+    return 16 * max(1, _BLOCK_ENTRIES // (16 * size))
 
 
 def quadrature(grid: SincGrid, integrand: Callable[[np.ndarray], np.ndarray]) -> float:

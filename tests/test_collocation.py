@@ -236,6 +236,13 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(grid, pairs[0], -1.0)
 
+    def test_two_dimensional_abscissae_keep_their_shape(self, l0_states):
+        grid, pairs = l0_states
+        xs = np.concatenate([np.geomspace(0.05, 10.0, 4), grid.points[:2]])
+        got = reconstruct(grid, pairs[0], xs.reshape(2, 3))
+        assert got.shape == (2, 3)
+        assert np.array_equal(got.ravel(), reconstruct(grid, pairs[0], xs))
+
 
 class TestLeftStructure:
     """The residual contract's product and norm, computed from the pencil's

@@ -164,6 +164,13 @@ class TestRadialFunction:
         with pytest.raises(ValueError, match="interpolate requires"):
             evaluate_radial(l4_states[0], x)
 
+    def test_two_dimensional_abscissae_keep_their_shape(self, l4_states):
+        s = l4_states[0]
+        xs = np.concatenate([np.geomspace(0.05, 10.0, 10), s.grid.points[:2]])
+        R = evaluate_radial(s, xs.reshape(3, 4))
+        assert R.shape == (3, 4)
+        assert np.array_equal(R.ravel(), evaluate_radial(s, xs))
+
     def test_renormalization_on_finer_grid(self, l4_states):
         # independent check of the unit norm: resample R^2 = f^2/x on a
         # grid with M + 200 and integrate there

@@ -1,6 +1,8 @@
 """Unit and property tests for the mapped sinc machinery."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sinccol import (
     quadrature,
     sinc_basis,
 )
+from sinccol import sinc
 
 D4 = math.pi / 4
 
@@ -201,6 +204,13 @@ class TestDeltas:
                 assert np.all(diag == diag[0])
 
 
+@pytest.fixture
+def integer_map(monkeypatch):
+    """Grid with a = 1/2 under z = x - 100, so that x = 100 + t/2 lands on t exactly."""
+    monkeypatch.setattr(sinc, "map_forward", lambda x: np.asarray(x) - 100.0)
+    return dataclasses.replace(build_grid(1.0, 1.0, D4, 60), a=0.5)
+
+
 class TestInterpolate:
     def test_cardinal_at_all_nodes(self):
         g = build_grid(1.0, 1.0, D4, 24)
@@ -260,23 +270,68 @@ class TestInterpolate:
         assert np.all(np.abs(interpolate(g, values, xs) - want)
                       <= 1e-14 * np.sum(np.abs(values)))
 
-    def test_exact_nodes_inside_and_outside_the_grid(self, monkeypatch):
-        import dataclasses
-
-        import sinccol.sinc as sinc
-
-        # with z = x - 10 and a = 1/2, x = 10 + k/2 lands exactly on t = k
-        g = dataclasses.replace(build_grid(1.0, 1.0, D4, 3), a=0.5)
-        monkeypatch.setattr(sinc, "map_forward", lambda x: np.asarray(x) - 10.0)
+    def test_exact_nodes_inside_and_outside_the_grid(self, integer_map):
+        g = integer_map
         values = np.arange(1.0, g.size + 1.0)
         k = np.arange(-g.M - 2, g.N + 3)
-        got = interpolate(g, values, 10.0 + 0.5 * k)
+        got = interpolate(g, values, 100.0 + 0.5 * k)
         inside = (k >= -g.M) & (k <= g.N)
         assert np.array_equal(got[inside], values)
         assert np.all(got[~inside] == 0.0)
-        off_node = interpolate(g, values, 10.25)
+        off_node = interpolate(g, values, 100.25)
         assert off_node == pytest.approx(
             sum(v * sinc_basis(m, 1.0, 0.5) for m, v in zip(g.indices, values)), rel=1e-14)
+
+
+class TestBlockedInterpolate:
+    """The row-blocked Cauchy sum against the direct sum of np.sinc terms."""
+
+    def test_matches_the_direct_sum_across_block_boundaries(self, integer_map):
+        g = integer_map
+        rows = sinc._block_rows(g.size)
+        P = 3 * rows + 7  # the last block is partial
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(g.size)
+        t = rng.uniform(-g.M - 5.0, g.N + 5.0, P)
+        # nodes on both sides of the first block boundary, one off the grid later
+        t[rows - 1], t[rows], t[2 * rows + 3] = -g.M, g.N, g.N + 3
+        got = interpolate(g, values, 100.0 + 0.5 * t)
+        want = np.sinc(t[:, None] - g.indices) @ values
+        assert np.all(np.abs(got - want) <= 1e-12 * np.sum(np.abs(values)))
+        assert got[rows - 1] == values[0]
+        assert got[rows] == values[-1]
+        assert got[2 * rows + 3] == 0.0
+
+    def test_empty_x_gives_an_empty_array(self):
+        g = build_grid(1.0, 1.0, D4, 16)
+        for shape in [(0,), (0, 3)]:
+            got = interpolate(g, np.ones(g.size), np.empty(shape))
+            assert isinstance(got, np.ndarray) and got.shape == shape
+
+    def test_two_dimensional_x_with_nodes_matches_scalar_calls(self, integer_map):
+        g = integer_map
+        values = np.random.default_rng(5).standard_normal(g.size)
+        t = np.array([[-g.M, 0.25, 3.0], [g.N + 2, -7.5, g.N]])
+        x = 100.0 + 0.5 * t
+        got = interpolate(g, values, x)
+        assert got.shape == x.shape
+        want = np.array([[interpolate(g, values, xi) for xi in row] for row in x])
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert got[0, 0] == values[0] and got[1, 2] == values[-1] and got[1, 0] == 0.0
+
+    def test_memory_stays_bounded(self):
+        # a P x K reciprocal matrix would be 88 MB at P = 20000, K = 551
+        g = build_grid(4.5, 1.0, D4, 100)
+        assert g.size == 551
+        values = np.random.default_rng(2).standard_normal(g.size)
+        xs = np.geomspace(0.01, 20.0, 20000)
+        tracemalloc.start()
+        try:
+            interpolate(g, values, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestQuadrature:
