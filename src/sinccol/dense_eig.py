@@ -3,15 +3,16 @@
 ``eig`` delegates a nonsymmetric matrix to LAPACK's dgeev (balancing,
 Hessenberg reduction, shifted QR) through scipy.  ``eigh_pencil`` finds
 the lowest pairs of a symmetric-definite pencil from the Cholesky factor
-of its left matrix: implicitly restarted Lanczos (ARPACK, through
+L of its left matrix: implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) needs only products with the reduced
-operator, two triangular solves each, so the K x K matrix is never
-tridiagonalized.  Only when nearly the whole spectrum is asked for, which
-ARPACK cannot return, does the pencil go to dsygvx.  The caller passes
-the dense left matrix, which the solve overwrites, together with the
-product V -> left @ V and the norm ||left||_inf, which it computes from
-the matrix's structure (for the sinc pencil a Toeplitz product by FFT),
-so the residual needs no second dense matrix.  One function verifies the
+operator, two with the explicit inverse L^-1 (dtrmv) each, or for a
+single pair two triangular solves, so the K x K matrix is never
+tridiagonalized.  Only for nearly the whole spectrum, which ARPACK
+cannot return, does it go to dsygvx.  The caller passes the dense left
+matrix, which the solve overwrites, together with the product
+V -> left @ V and the norm ||left||_inf, which it computes from the
+matrix's structure (for the sinc pencil a Toeplitz product by FFT), so
+the residual needs no second dense matrix.  One function verifies the
 per-pair residual contract for both: every returned pair must satisfy
 
     ||A v - lambda v||_inf <= 1e-8 * ||A||_inf * ||v||_inf
@@ -111,25 +112,38 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
 
 _NOT_POSITIVE_DEFINITE = ("left matrix is not positive definite: the problem has a non-positive "
                           "lowest level; shift the potential up")
+# Products with L^-1 (dtrmv) thread in OpenBLAS and solves with L (dtrsv) do
+# not, but the inversion (dtrtri) costs about a dpotrf and repays only after 55
+# to 80 Lanczos steps: one pair takes 21 to 41, two or more take 38 to 97.
+_INVERSE_MIN_COUNT = 2
 
 
 def _largest_reduced(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` largest mu of right v = mu left v, ascending, by
-    Lanczos on L^-1 right L^-T with left = L L^T factored in place."""
+    Lanczos on L^-1 right L^-T, left = L L^T factored in place (and L
+    inverted in place for ``count >= _INVERSE_MIN_COUNT``)."""
     n = left.shape[0]
     L, info = lapack.dpotrf(left, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise EigenSolveError(_NOT_POSITIVE_DEFINITE)
+    inverted = count >= _INVERSE_MIN_COUNT
+    if inverted:
+        L, info = lapack.dtrtri(L, lower=1, overwrite_c=1)
+        if info != 0:
+            raise EigenSolveError(f"inversion of the Cholesky factor failed (dtrtri info {info})")
+    vector = blas.dtrmv if inverted else blas.dtrsv
 
     def reduced(y):
-        x = blas.dtrsv(L, y, lower=1, trans=1)
-        return blas.dtrsv(L, right @ x, lower=1, overwrite_x=1)
+        x = vector(L, y, lower=1, trans=1)
+        return vector(L, right @ x, lower=1, overwrite_x=1)
 
     operator = LinearOperator((n, n), matvec=reduced, dtype=float)
     try:
         mu, Y = eigsh(operator, k=count, which="LA", v0=np.ones(n), tol=0)
     except ArpackError as exc:  # ArpackNoConvergence included
         raise EigenSolveError(f"Lanczos failed ({type(exc).__name__}): {exc}") from exc
+    if inverted:
+        return mu, blas.dtrmm(1.0, L, Y, lower=1, trans_a=1, overwrite_b=1)
     return mu, scipy.linalg.solve_triangular(L, Y, lower=True, trans="T", check_finite=False)
 
 
@@ -164,16 +178,18 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
 
     The roles are swapped: with the Cholesky factor L of ``left``, the
     bounded operator L^-1 right L^-T is searched for its ``count`` largest
-    eigenvalues mu = 1/lambda only, so a singular or badly scaled
-    ``right`` costs no accuracy in the low end of the spectrum.  Lanczos
-    (ARPACK ``eigsh``, start vector all ones, so that repeated solves are
-    bit-identical) applies the operator by two triangular solves, and the
+    eigenvalues mu = 1/lambda only, so a singular or badly scaled ``right``
+    costs no accuracy in the low end of the spectrum.  Lanczos (ARPACK
+    ``eigsh``, start vector all ones, so that repeated solves are
+    bit-identical) applies the operator by two products with L^-1 (dtrmv,
+    after dtrtri inverts L in place), or for a single pair, whose few steps
+    do not repay the inversion, by two solves with L (dtrsv); the
     eigenvectors are v = L^-T y.  For ``count >= n - 1``, beyond ARPACK's
     reach, LAPACK dsygvx reduces the whole pencil instead.  Raises
-    EigenSolveError if ``left`` is not positive definite, if Lanczos does
-    not converge, if a requested mu is not positive (lambda infinite) or
-    if any pair misses the residual contract, a non-finite residual
-    included.
+    EigenSolveError if ``left`` is not positive definite, if inverting L
+    fails, if Lanczos does not converge, if a requested mu is not positive
+    (lambda infinite) or if any pair misses the residual contract, a
+    non-finite residual included.
     """
     n = left.shape[0]
     _validate_count(count, n)

@@ -220,6 +220,58 @@ class TestPencil:
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
+    @staticmethod
+    def flagship_pencil(l, M):
+        from sinccol import flagship_problem
+        from sinccol.collocation import _pencil_matrices
+
+        return _pencil_matrices(flagship_problem(l, M=M))
+
+    def test_repeated_flagship_solves_are_bit_identical(self):
+        # n = 1101, large enough for OpenBLAS to thread the triangular products
+        left, right, times, norm = self.flagship_pencil(4, 200)
+        first, second = (eigh_pencil(np.array(left, order="F"), right, 5, times, norm)
+                         for _ in range(2))
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+    def test_factor_is_inverted_in_place(self):
+        import tracemalloc
+
+        left, right, times, norm = self.flagship_pencil(4, 200)
+        n = left.shape[0]
+        assert left.flags.f_contiguous
+        tracemalloc.start()
+        try:
+            eigh_pencil(left, right, 5, times, norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of the n x n factor, or an explicit inv(L), alone is 8 n^2 bytes
+        assert peak < 8 * n * n / 4
+
+    @pytest.mark.parametrize("count, inverted", [(1, False), (2, True), (5, True)])
+    def test_factor_is_inverted_from_two_pairs(self, count, inverted, monkeypatch):
+        # one pair takes too few Lanczos steps to repay the inversion
+        from sinccol import dense_eig
+
+        calls = []
+        dtrtri = dense_eig.lapack.dtrtri
+        monkeypatch.setattr(dense_eig.lapack, "dtrtri",
+                            lambda c, **kwargs: calls.append(c.shape) or dtrtri(c, **kwargs))
+        left, right = self.random_pencil(30, 3)
+        full = np.sort(eig(np.linalg.solve(right, left)).eigenvalues.real)
+        assert np.allclose(self.solve(left, right, count).eigenvalues, full[:count], rtol=1e-10)
+        assert calls == ([(30, 30)] if inverted else [])
+
+    def test_failed_inversion_is_reported(self, monkeypatch):
+        from sinccol import dense_eig
+
+        monkeypatch.setattr(dense_eig.lapack, "dtrtri", lambda c, **kwargs: (c, 1))
+        left, right = self.random_pencil(30, 3)
+        with pytest.raises(EigenSolveError, match="inversion of the Cholesky factor"):
+            self.solve(left, right, 4)
+
     @pytest.mark.parametrize("spare", [1, 0])
     def test_nearly_full_spectrum_takes_the_dense_branch(self, spare, monkeypatch):
         from sinccol import dense_eig
