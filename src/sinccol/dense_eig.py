@@ -112,9 +112,10 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
 
 _NOT_POSITIVE_DEFINITE = ("left matrix is not positive definite: the problem has a non-positive "
                           "lowest level; shift the potential up")
-# Products with L^-1 (dtrmv) thread in OpenBLAS and solves with L (dtrsv) do
-# not, but the inversion (dtrtri) costs about a dpotrf and repays only after 55
-# to 80 Lanczos steps: one pair takes 21 to 41, two or more take 38 to 97.
+# Products with L^-1 (dtrmv) thread in OpenBLAS, solves with L (dtrsv) do not.
+# The inversion (dtrtri) repays after 50 to 100 Lanczos steps; one pair takes
+# 21 to 41.  Timed at n = 752..2751, two to five pairs gain up to 0.25 s and
+# lose at most 18 ms (n = 1251 and 1751); one pair loses up to 28 ms.
 _INVERSE_MIN_COUNT = 2
 
 
@@ -142,9 +143,7 @@ def _largest_reduced(left: np.ndarray, right, count: int) -> tuple[np.ndarray, n
         mu, Y = eigsh(operator, k=count, which="LA", v0=np.ones(n), tol=0)
     except ArpackError as exc:  # ArpackNoConvergence included
         raise EigenSolveError(f"Lanczos failed ({type(exc).__name__}): {exc}") from exc
-    if inverted:
-        return mu, blas.dtrmm(1.0, L, Y, lower=1, trans_a=1, overwrite_b=1)
-    return mu, scipy.linalg.solve_triangular(L, Y, lower=True, trans="T", check_finite=False)
+    return mu, np.array([vector(L, y, lower=1, trans=1) for y in Y.T]).T
 
 
 def _largest_dense(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,14 +181,13 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     costs no accuracy in the low end of the spectrum.  Lanczos (ARPACK
     ``eigsh``, start vector all ones, so that repeated solves are
     bit-identical) applies the operator by two products with L^-1 (dtrmv,
-    after dtrtri inverts L in place), or for a single pair, whose few steps
-    do not repay the inversion, by two solves with L (dtrsv); the
-    eigenvectors are v = L^-T y.  For ``count >= n - 1``, beyond ARPACK's
-    reach, LAPACK dsygvx reduces the whole pencil instead.  Raises
-    EigenSolveError if ``left`` is not positive definite, if inverting L
-    fails, if Lanczos does not converge, if a requested mu is not positive
-    (lambda infinite) or if any pair misses the residual contract, a
-    non-finite residual included.
+    after dtrtri inverts L in place), or for a single pair by two solves
+    with L (dtrsv); the eigenvectors are v = L^-T y.  For
+    ``count >= n - 1``, beyond ARPACK's reach, LAPACK dsygvx reduces the
+    whole pencil instead.  Raises EigenSolveError if ``left`` is not
+    positive definite, if inverting L fails, if Lanczos does not converge,
+    if a requested mu is not positive (lambda infinite) or if any pair
+    misses the residual contract, a non-finite residual included.
     """
     n = left.shape[0]
     _validate_count(count, n)
