@@ -36,9 +36,14 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# about this many entries (512 KiB of float64) per row block of `interpolate`:
+# about this many entries (512 KiB of float64) per row block of `_direct_cauchy`:
 # the fastest block size timed at K = 151, 551 and 2751 with 4000 abscissae
 _BLOCK_ENTRIES = 2**16
+# `interpolate` sums the terms with |k - m| <= _NEAR directly and the rest by
+# _TERMS terms of a Taylor series in |r| <= 1/2, whose ratio is at most
+# 1/(2 _NEAR + 2): _TERMS is the least with (2 _NEAR + 2)^-_TERMS <= 1e-16
+_NEAR = 8
+_TERMS = math.ceil(16.0 / math.log10(2 * _NEAR + 2))
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,8 @@ def build_grid(alpha: float, beta: float, d: float, M: int) -> SincGrid:
     m = np.arange(-M, N + 1)
     ma = m * a
     points = np.asarray(map_inverse(ma))
-    e2m = np.exp(-2.0 * ma)
+    with np.errstate(over="ignore"):  # refused below as a ValueError
+        e2m = np.exp(-2.0 * ma)
     phi1 = np.sqrt(1.0 + e2m)
     phi2 = -e2m
 
@@ -257,13 +263,22 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
 
         sinc(t - m) = (-1)^(k - m) sin(pi r) / (pi (t - m)),
 
-    so each abscissa costs one sine, and the sum over the m runs over
-    row blocks of the abscissae: one reciprocal pass and one
-    matrix-vector product per block, in one reused buffer of about 2^16
-    entries (at least 16 rows), so P abscissae take O(P + K + 2^16)
-    memory rather than a P x K matrix.  Where t is an integer the
-    interpolant is the nodal value there, or 0 off the grid.  The result
-    has the shape of x, and a scalar x gives a float.
+    so each abscissa costs one sine and the Cauchy sum
+    sum_m c_m / (t - m), c_m = (-1)^m values[m].  Where t is an integer
+    the interpolant is the nodal value there, or 0 off the grid.  The
+    other rows take one of two paths:
+
+    * k within _NEAR of the grid: the terms with |k - m| <= _NEAR are
+      summed directly, and the rest by the Taylor series
+      sum_p (-r)^p F_p(k), F_p(k) = sum_{|k-m| > _NEAR} c_m (k - m)^-(p+1),
+      whose _TERMS real-FFT convolutions are formed once per call.  A row
+      costs O(_NEAR + _TERMS), and a call O(_TERMS K log K) besides.
+    * k farther out: the whole sum runs directly over row blocks, one
+      reciprocal pass and one matrix-vector product per block, in one
+      reused buffer of about 2^16 entries (at least 16 rows).
+
+    P abscissae take O(P + K + 2^16) memory rather than a P x K matrix.
+    The result has the shape of x, and a scalar x gives a float.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):
@@ -278,19 +293,15 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     k = np.rint(t)
     r = t - k
     on_node = r == 0.0
-    # shift node rows off the grid so that no 1/0 is formed; they are overwritten
-    shifted = np.where(on_node, t + 0.5, t)
-    indices = grid.indices
-    alternating = np.where(indices % 2 == 0, values, -values)
-    cauchy = np.empty(t.size)
-    rows = _block_rows(grid.size)
-    buffer = np.empty((min(rows, t.size), grid.size))
-    for start in range(0, t.size, rows):
-        block = shifted[start:start + rows]
-        inverse = buffer[:block.size]
-        np.subtract(block[:, None], indices, out=inverse)
-        np.reciprocal(inverse, out=inverse)
-        np.matmul(inverse, alternating, out=cauchy[start:start + block.size])
+    alternating = np.where(grid.indices % 2 == 0, values, -values)
+    # position of k in the window k = -M - _NEAR .. N + _NEAR of the expansion;
+    # rows beyond it are clipped to its ends and overwritten by the direct sum,
+    # and node rows take r = 1/2 so that no 1/0 is formed
+    position = k + (grid.M + _NEAR)
+    clipped = np.clip(position, 0, grid.size + 2 * _NEAR - 1)
+    cauchy = _expanded_cauchy(alternating, clipped.astype(np.intp), np.where(on_node, 0.5, r))
+    beyond = np.flatnonzero(clipped != position)
+    cauchy[beyond] = _direct_cauchy(alternating, grid.indices, t[beyond])
     k_sign = np.where(k % 2.0 == 0.0, 1.0, -1.0)
     result = k_sign * np.sin(np.pi * r) / np.pi * cauchy
     nodes = np.flatnonzero(on_node)
@@ -304,8 +315,53 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     return result.reshape(x_arr.shape)
 
 
+def _expanded_cauchy(c: np.ndarray, position: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_m c_m / (k + r - m) for k = position - M - _NEAR within _NEAR of the grid."""
+    size = c.size
+    padded = np.zeros(size + 4 * _NEAR)
+    padded[2 * _NEAR:2 * _NEAR + size] = c
+    total = np.zeros(r.size)
+    for j in range(-_NEAR, _NEAR + 1):  # j = k - m
+        total += padded[_NEAR - j:][position] / (r + j)
+    # F_p over the window by one circular convolution per p, of power-of-two
+    # length at least 2K - 1 + 2 _NEAR, which keeps distances of both signs apart
+    length = 1 << (2 * size - 2 + 2 * _NEAR).bit_length()
+    j = np.arange(_NEAR + 1, size + _NEAR)
+    exponents = np.arange(1, _TERMS + 1)[:, None]  # p + 1
+    powers = (1.0 / j) ** exponents
+    kernels = np.zeros((_TERMS, length))
+    kernels[:, j] = powers
+    kernels[:, length - j] = (-1.0) ** exponents * powers
+    shifted = np.zeros(length)
+    shifted[_NEAR:_NEAR + size] = c
+    spectrum = np.fft.rfft(kernels, axis=1)
+    spectrum *= np.fft.rfft(shifted)
+    fields = np.fft.irfft(spectrum, length, axis=1)
+    # Horner in -r, gathering one term at a time
+    minus_r = -r
+    far = fields[_TERMS - 1][position]
+    for p in range(_TERMS - 2, -1, -1):
+        far *= minus_r
+        far += fields[p][position]
+    return total + far
+
+
+def _direct_cauchy(c: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_m c_m / (t - m) term by term over row blocks, for t at no grid index m."""
+    cauchy = np.empty(t.size)
+    rows = _block_rows(c.size)
+    buffer = np.empty((min(rows, t.size), c.size))
+    for start in range(0, t.size, rows):
+        block = t[start:start + rows]
+        inverse = buffer[:block.size]
+        np.subtract(block[:, None], indices, out=inverse)
+        np.reciprocal(inverse, out=inverse)
+        np.matmul(inverse, c, out=cauchy[start:start + block.size])
+    return cauchy
+
+
 def _block_rows(size: int) -> int:
-    """Rows per block of `interpolate`: about _BLOCK_ENTRIES entries, in whole
+    """Rows per block of `_direct_cauchy`: about _BLOCK_ENTRIES entries, in whole
     groups of 16, so BLAS groups rows as one product over all of them would."""
     return 16 * max(1, _BLOCK_ENTRIES // (16 * size))
 

@@ -136,6 +136,26 @@ class TestNormalize:
 
 
 class TestRadialFunction:
+    def test_interpolant_in_the_left_tail_against_mpmath(self):
+        # R is 5e-11 to 4e-9 here, so the Cauchy sum cancels to a tiny part
+        # of its terms; the reference sums the same coefficients at 40 digits
+        import mpmath
+        s = solve_states(4, 1, M=100)[0]
+        xs = np.linspace(0.01, 0.03, 9)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(s.grid.a)
+            coefficients = [mpmath.mpf(float(c)) for c in s.coefficients]
+
+            def reference(x):
+                t = mpmath.log(mpmath.sinh(mpmath.mpf(x))) / a
+                return float(mpmath.fsum(c * mpmath.sinc(mpmath.pi * (t - int(m)))
+                                         for m, c in zip(s.grid.indices, coefficients)))
+
+            want = np.array([reference(x) for x in xs])
+        assert np.all(np.abs(want / np.sqrt(xs)) < 1e-8)
+        got = interpolate(s.grid, s.coefficients, xs)
+        assert np.max(np.abs(got - want)) <= 3e-17 * np.max(np.abs(s.coefficients))
+
     def test_nodal_value_over_sqrt_x(self, l4_states):
         s = l4_states[0]
         i = s.grid.M  # logical index m = 0

@@ -127,6 +127,11 @@ class TestBuildGrid:
             with pytest.raises(ValueError):
                 build_grid(**kwargs)
 
+    def test_overflowing_grid_is_a_value_error_not_a_warning(self):
+        # e^(-2ma) overflows at m = -M; warnings are errors under pytest
+        with pytest.raises(ValueError, match="grid values overflow"):
+            build_grid(0.5, 1.0, D4, 100000)
+
     def test_step_bound_enforced(self):
         # tiny d with tiny alpha*M pushes a past 2*pi*d/ln(2)
         with pytest.raises(ValueError):
@@ -260,15 +265,17 @@ class TestInterpolate:
         assert arr[1] == pytest.approx(interpolate(g, values, 1.7), rel=1e-14)
 
     def test_matches_the_term_by_term_sum(self):
-        # the reference sums sinc_basis term by term, one sine per term
-        g = build_grid(2.5, 1.0, D4, 60)
+        # the reference sums sinc_basis term by term, one sine per term;
+        # l = 4 at M = 500 is the largest flagship grid, K = 2751
         rng = np.random.default_rng(3)
-        values = rng.standard_normal(g.size)
-        xs = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(40.0), 300)))
-        z = np.asarray(map_forward(xs))
-        want = sum(v * sinc_basis(m, g.a, z) for m, v in zip(g.indices, values))
-        assert np.all(np.abs(interpolate(g, values, xs) - want)
-                      <= 1e-14 * np.sum(np.abs(values)))
+        for alpha, M in [(2.5, 60), (4.5, 500)]:
+            g = build_grid(alpha, 1.0, D4, M)
+            values = rng.standard_normal(g.size)
+            xs = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(40.0), 300)))
+            z = np.asarray(map_forward(xs))
+            want = sum(v * sinc_basis(m, g.a, z) for m, v in zip(g.indices, values))
+            assert np.all(np.abs(interpolate(g, values, xs) - want)
+                          <= 1e-14 * np.sum(np.abs(values)))
 
     def test_exact_nodes_inside_and_outside_the_grid(self, integer_map):
         g = integer_map
@@ -284,23 +291,41 @@ class TestInterpolate:
 
 
 class TestBlockedInterpolate:
-    """The row-blocked Cauchy sum against the direct sum of np.sinc terms."""
+    """Both paths of the Cauchy sum against the direct sum of np.sinc terms:
+    the near and far field within _NEAR of the grid, and the row-blocked
+    direct sum beyond it."""
 
     def test_matches_the_direct_sum_across_block_boundaries(self, integer_map):
         g = integer_map
+        W = sinc._NEAR
         rows = sinc._block_rows(g.size)
-        P = 3 * rows + 7  # the last block is partial
+        beyond = 2 * rows + 7  # the direct path's last block is partial
         rng = np.random.default_rng(11)
         values = rng.standard_normal(g.size)
-        t = rng.uniform(-g.M - 5.0, g.N + 5.0, P)
-        # nodes on both sides of the first block boundary, one off the grid later
-        t[rows - 1], t[rows], t[2 * rows + 3] = -g.M, g.N, g.N + 3
+        inside = rng.uniform(-g.M - 5.0, g.N + 5.0, beyond)
+        # rows past the window on both sides; x = 100 + t/2 > 0 needs t > -200
+        far = np.where(np.arange(beyond) % 2 == 0, rng.uniform(g.N + W + 1.0, g.N + 140.0, beyond),
+                       rng.uniform(-199.0, -g.M - W - 1.0, beyond))
+        edges = [-g.M - W - 0.3, -g.M - W + 0.3, g.N + W - 0.3, g.N + W + 0.3,
+                 -g.M - W - 0.7, g.N + W + 0.7]
+        t = np.concatenate([np.column_stack([inside, far]).ravel(), edges])
+        # nodes at both ends of the grid, and off it inside and beyond the window
+        nodes = [1, 2 * rows + 1, 2 * rows + 3, 2 * rows + 5]
+        t[nodes] = [-g.M, g.N, g.N + 3, g.N + 40]
         got = interpolate(g, values, 100.0 + 0.5 * t)
         want = np.sinc(t[:, None] - g.indices) @ values
-        assert np.all(np.abs(got - want) <= 1e-12 * np.sum(np.abs(values)))
-        assert got[rows - 1] == values[0]
-        assert got[rows] == values[-1]
-        assert got[2 * rows + 3] == 0.0
+        assert np.all(np.abs(got - want) <= 1e-14 * np.sum(np.abs(values)))
+        assert np.array_equal(got[nodes], [values[0], values[-1], 0.0, 0.0])
+
+    def test_series_meets_its_truncation_bound_next_to_the_near_field(self, integer_map):
+        # the far field's worst ratio |r/(k - m)| is 1/2 over _NEAR + 1; t is
+        # exact in binary, so x = 100 + t/2 carries no rounding into t
+        g = integer_map
+        values = np.zeros(g.size)
+        values[g.M] = 1.0  # the interpolant is sinc(t)
+        s = np.array([-1.0, 1.0])[:, None] * (sinc._NEAR + 1 + np.array([-0.46875, 0.46875]))
+        got = interpolate(g, values, 100.0 + 0.5 * s.ravel())
+        assert np.all(np.abs(got - sinc_basis(0, 1.0, s.ravel())) <= 1e-16)
 
     def test_empty_x_gives_an_empty_array(self):
         g = build_grid(1.0, 1.0, D4, 16)
