@@ -30,7 +30,13 @@ and collocation gives the symmetric-definite pencil
     (-d2/a^2 + diag(g)) v = lambda diag(u) v,
 
 whose entries stay near 1/a^2.  ``solve`` takes its lowest pairs and
-returns the nodal values f(x_m) = v_m / sqrt(phi'(x_m)).
+returns the nodal values f(x_m) = v_m / sqrt(phi'(x_m)).  It factors the
+shifted left matrix -d2/a^2 + diag(g - sigma u), sigma = max(0, min g/u),
+which is positive definite: the sinc matrix -d2 has its eigenvalues in
+(0, pi^2] (Stenger, 1993) and g - sigma u >= 0.  So sigma lies below the
+lowest level, and Lanczos searches 1/(lambda - sigma), whose low end is
+far less crowded than that of 1/lambda (spectral transformation, Ericsson
+& Ruhe, Math. Comp. 35 (1980) 1251).
 
 On a grid with alpha = 1/2 (critical coupling, f ~ x^(1/2)) v tends to a
 nonzero constant as z -> -inf, which no truncated sinc sum holds.  There
@@ -41,7 +47,9 @@ of v' w' + g v w and u v w, evaluated with the grid's own sinc
 quadrature, using omega' = -2 omega (1 - omega) and
 omega'' = 4 omega (1 - omega)(1 - 2 omega).  For alpha > 1/2 the
 function is left out: g tends to l^2 at the left end and the integral of
-g omega^2 diverges.
+g omega^2 diverges.  The bordered pencil is not shifted (sigma = 0): there
+g/u tends to ln x + 1/2, unbounded below, and the border is no part of
+the Toeplitz block.
 """
 
 from __future__ import annotations
@@ -240,6 +248,14 @@ def _pencil_matrices(problem: CollocationProblem) -> tuple[
     return structure.dense(), right, structure.__matmul__, structure.norm_inf()
 
 
+def _safe_shift(problem: CollocationProblem) -> float:
+    """sigma = max(0, min g/u) for the unbordered pencil, 0 for the bordered
+    one: a lower bound on the lowest level (see module docstring)."""
+    if problem.omega is not None:
+        return 0.0
+    return max(0.0, float(np.min(problem.g / problem.weight)))
+
+
 def _positive_peak(vec: np.ndarray) -> np.ndarray:
     vec = np.array(vec, dtype=float)
     if vec[np.argmax(np.abs(vec))] < 0.0:
@@ -260,7 +276,7 @@ def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
     K = grid.size
     _validate_count(count, K)
     left, right, left_times, left_norm = _pencil_matrices(problem)
-    decomp = eigh_pencil(left, right, count, left_times, left_norm)
+    decomp = eigh_pencil(left, right, count, left_times, left_norm, shift=_safe_shift(problem))
     V = decomp.eigenvectors
     nodal = V[:K]
     if problem.omega is not None:

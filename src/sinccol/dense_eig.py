@@ -8,12 +8,19 @@ L of its left matrix: implicitly restarted Lanczos (ARPACK, through
 operator, two with the explicit inverse L^-1 (dtrmv) each, or for a
 single pair two triangular solves, so the K x K matrix is never
 tridiagonalized.  Only for nearly the whole spectrum, which ARPACK
-cannot return, does it go to dsygvx.  The caller passes the dense left
-matrix, which the solve overwrites, together with the product
-V -> left @ V and the norm ||left||_inf, which it computes from the
-matrix's structure (for the sinc pencil a Toeplitz product by FFT), so
-the residual needs no second dense matrix.  One function verifies the
-per-pair residual contract for both: every returned pair must satisfy
+cannot return, does it go to dsygvx.  A caller that knows a lower bound
+sigma on the lowest level passes it as ``shift``: both solvers then
+factor left - sigma right, which is positive definite exactly when sigma
+lies below every level, and search mu = 1/(lambda - sigma), whose
+largest values stand farther apart than those of 1/lambda, so Lanczos
+needs fewer steps (Ericsson & Ruhe, Math. Comp. 35 (1980) 1251).
+
+The caller passes the dense left matrix, which the solve overwrites,
+together with the product V -> left @ V and the norm ||left||_inf of the
+unshifted left, which it computes from the matrix's structure (for the
+sinc pencil a Toeplitz product by FFT), so the residual needs no second
+dense matrix.  One function verifies the per-pair residual contract for
+both: every returned pair must satisfy
 
     ||A v - lambda v||_inf <= 1e-8 * ||A||_inf * ||v||_inf
 
@@ -110,12 +117,13 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=V, residuals=residuals)
 
 
-_NOT_POSITIVE_DEFINITE = ("left matrix is not positive definite: the problem has a non-positive "
-                          "lowest level; shift the potential up")
+_NOT_POSITIVE_DEFINITE = ("left matrix is not positive definite: the lowest level is not above "
+                          "the shift (0 unless one is given); shift the potential up")
 # Products with L^-1 (dtrmv) thread in OpenBLAS, solves with L (dtrsv) do not.
-# The inversion (dtrtri) repays after 50 to 100 Lanczos steps; one pair takes
-# 21 to 41.  Timed at n = 752..2751, two to five pairs gain up to 0.25 s and
-# lose at most 18 ms (n = 1251 and 1751); one pair loses up to 28 ms.
+# The inversion (dtrtri) repays after about 50 Lanczos steps.  With the
+# collocation shift one pair takes 21 steps and two to five 37 to 59.  Summed
+# over six flagship pencils (n = 752..2751, best of 9), four and five pairs
+# gain 31 to 116 ms, two and three lose up to 59 ms, one pair loses 0.13 s.
 _INVERSE_MIN_COUNT = 2
 
 
@@ -161,19 +169,20 @@ def _largest_dense(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.
 
 
 def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, count: int,
-                left_times: Callable[[np.ndarray], np.ndarray],
-                left_norm: float) -> EigenDecomposition:
+                left_times: Callable[[np.ndarray], np.ndarray], left_norm: float, *,
+                shift: float = 0.0) -> EigenDecomposition:
     """Lowest ``count`` eigenpairs of left v = lambda right v, ascending.
 
-    ``left`` is a dense n x n symmetric positive definite array, which the
-    solve overwrites (a Fortran-ordered one avoids a copy); ``right`` is a
-    symmetric positive semidefinite n x n array or scipy sparse matrix,
-    left unchanged.  The residual contract takes its product and norm from
-    ``left_times(V)``, the product left @ V for an n x k array V, and
-    ``left_norm``, the infinity norm of left, so the dense left is built
-    once; a structured caller computes them from the matrix's pieces,
-    which also checks the pairs against a second construction of the same
-    matrix.  ``count`` must be an integer in [1, n].
+    ``left`` is a dense n x n symmetric array, positive definite less
+    ``shift`` times right, which the solve overwrites (a Fortran-ordered
+    one avoids a copy); ``right`` is a symmetric positive semidefinite
+    n x n array or scipy sparse matrix, left unchanged.  The residual
+    contract takes its product and norm from ``left_times(V)``, the
+    product left @ V for an n x k array V, and ``left_norm``, the infinity
+    norm of left, so the dense left is built once; a structured caller
+    computes them from the matrix's pieces, which also checks the pairs
+    against a second construction of the same matrix.  ``count`` must be
+    an integer in [1, n].
 
     The roles are swapped: with the Cholesky factor L of ``left``, the
     bounded operator L^-1 right L^-T is searched for its ``count`` largest
@@ -184,19 +193,33 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     after dtrtri inverts L in place), or for a single pair by two solves
     with L (dtrsv); the eigenvectors are v = L^-T y.  For
     ``count >= n - 1``, beyond ARPACK's reach, LAPACK dsygvx reduces the
-    whole pencil instead.  Raises EigenSolveError if ``left`` is not
-    positive definite, if inverting L fails, if Lanczos does not converge,
-    if a requested mu is not positive (lambda infinite) or if any pair
-    misses the residual contract, a non-finite residual included.
+    whole pencil instead.
+
+    A finite ``shift`` sigma below the lowest level is subtracted first:
+    ``left`` becomes left - sigma right in its own storage, L is its
+    factor, mu = 1/(lambda - sigma), lambda = sigma + 1/mu, and the
+    eigenvectors are scaled to v^T (left - sigma right) v = 1.  The
+    residual contract still takes the unshifted ``left_times`` and
+    ``left_norm``.  A non-finite shift is a ValueError.
+
+    Raises EigenSolveError if ``left`` (less the shift) is not positive
+    definite, if inverting L fails, if Lanczos does not converge, if a
+    requested mu is not positive (lambda infinite) or if any pair misses
+    the residual contract, a non-finite residual included.
     """
     n = left.shape[0]
     _validate_count(count, n)
+    if not np.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift!r}")
+    if shift:
+        right_entries = scipy.sparse.coo_array(right)
+        np.subtract.at(left, (right_entries.row, right_entries.col), shift * right_entries.data)
     solver = _largest_dense if count >= n - 1 else _largest_reduced
     mu, V = solver(left, right, count)
     if not mu[0] > 0.0:
         raise EigenSolveError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
                               "eigenvalues are finite")
-    lam = 1.0 / mu[::-1]
+    lam = shift + 1.0 / mu[::-1]
     V = V[:, ::-1]
     # right may be sparse
     scale = left_norm + np.abs(lam) * abs(right).sum(axis=1).max()

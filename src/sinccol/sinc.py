@@ -16,6 +16,7 @@ offsets i = m + M everywhere in this package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -271,8 +272,9 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     * k within _NEAR of the grid: the terms with |k - m| <= _NEAR are
       summed directly, and the rest by the Taylor series
       sum_p (-r)^p F_p(k), F_p(k) = sum_{|k-m| > _NEAR} c_m (k - m)^-(p+1),
-      whose _TERMS real-FFT convolutions are formed once per call.  A row
-      costs O(_NEAR + _TERMS), and a call O(_TERMS K log K) besides.
+      whose _TERMS real-FFT convolutions are formed once per call (the
+      kernels' spectra are kept for the last grid size).  A row costs
+      O(_NEAR + _TERMS), and a call O(_TERMS K log K) besides.
     * k farther out: the whole sum runs directly over row blocks, one
       reciprocal pass and one matrix-vector product per block, in one
       reused buffer of about 2^16 entries (at least 16 rows).
@@ -323,20 +325,11 @@ def _expanded_cauchy(c: np.ndarray, position: np.ndarray, r: np.ndarray) -> np.n
     total = np.zeros(r.size)
     for j in range(-_NEAR, _NEAR + 1):  # j = k - m
         total += padded[_NEAR - j:][position] / (r + j)
-    # F_p over the window by one circular convolution per p, of power-of-two
-    # length at least 2K - 1 + 2 _NEAR, which keeps distances of both signs apart
-    length = 1 << (2 * size - 2 + 2 * _NEAR).bit_length()
-    j = np.arange(_NEAR + 1, size + _NEAR)
-    exponents = np.arange(1, _TERMS + 1)[:, None]  # p + 1
-    powers = (1.0 / j) ** exponents
-    kernels = np.zeros((_TERMS, length))
-    kernels[:, j] = powers
-    kernels[:, length - j] = (-1.0) ** exponents * powers
+    length = _circulant_length(size)
     shifted = np.zeros(length)
     shifted[_NEAR:_NEAR + size] = c
-    spectrum = np.fft.rfft(kernels, axis=1)
-    spectrum *= np.fft.rfft(shifted)
-    fields = np.fft.irfft(spectrum, length, axis=1)
+    # a new array: the cached kernel spectra are read-only
+    fields = np.fft.irfft(_kernel_spectra(size) * np.fft.rfft(shifted), length, axis=1)
     # Horner in -r, gathering one term at a time
     minus_r = -r
     far = fields[_TERMS - 1][position]
@@ -344,6 +337,30 @@ def _expanded_cauchy(c: np.ndarray, position: np.ndarray, r: np.ndarray) -> np.n
         far *= minus_r
         far += fields[p][position]
     return total + far
+
+
+def _circulant_length(size: int) -> int:
+    """F_p over the window is one circular convolution per p, of power-of-two
+    length at least 2K - 1 + 2 _NEAR, which keeps distances of both signs apart."""
+    return 1 << (2 * size - 2 + 2 * _NEAR).bit_length()
+
+
+# one size only: calls come in runs on one grid, and every kept spectrum stays
+# resident through the solves between them (13 (L/2 + 1) complex entries)
+@functools.lru_cache(maxsize=1)
+def _kernel_spectra(size: int) -> np.ndarray:
+    """Real FFTs of the _TERMS far-field kernels j^-(p+1), |j| > _NEAR, of
+    `_expanded_cauchy` on a grid of ``size`` nodes, read-only."""
+    length = _circulant_length(size)
+    j = np.arange(_NEAR + 1, size + _NEAR)
+    exponents = np.arange(1, _TERMS + 1)[:, None]  # p + 1
+    powers = (1.0 / j) ** exponents
+    kernels = np.zeros((_TERMS, length))
+    kernels[:, j] = powers
+    kernels[:, length - j] = (-1.0) ** exponents * powers
+    spectra = np.fft.rfft(kernels, axis=1)
+    spectra.flags.writeable = False
+    return spectra
 
 
 def _direct_cauchy(c: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -264,3 +264,65 @@ class TestLeftStructure:
         dense = left @ V
         assert np.max(np.abs(times(V) - dense)) <= 1e-14 * np.max(np.abs(dense))
         assert norm == pytest.approx(lapack.dlange("I", left), rel=1e-14, abs=0.0)
+
+
+class TestSafeShift:
+    """solve factors left - sigma diag(u) with sigma = max(0, min g/u): the
+    Toeplitz part -d2/a^2 is positive definite and diag(g - sigma u) is
+    nonnegative, so sigma lies below the lowest level."""
+
+    @pytest.mark.parametrize("K", [39, 551])
+    def test_sinc_second_derivative_is_positive_definite(self, K):
+        from scipy.linalg import toeplitz
+
+        from sinccol.sinc import _d2_column
+
+        eigenvalues = np.linalg.eigvalsh(toeplitz(-_d2_column(K)))
+        assert eigenvalues[0] > 0.0
+        assert eigenvalues[-1] <= math.pi**2
+
+    @pytest.mark.parametrize("M", [25, 100, 500])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_shift_lies_below_the_lowest_level(self, l, M):
+        from sinccol import eigh_pencil
+        from sinccol.collocation import _pencil_matrices, _safe_shift
+
+        problem = flagship_problem(l, M=M)
+        sigma = _safe_shift(problem)
+        assert sigma > 0.0
+        assert np.all(problem.g - sigma * problem.weight >= 0.0)
+        left, right, times, norm = _pencil_matrices(problem)
+        assert sigma <= eigh_pencil(left, right, 1, times, norm).eigenvalues[0]
+
+    def test_bordered_pencil_is_not_shifted(self):
+        from sinccol.collocation import _safe_shift
+
+        # at alpha = 1/2 the flagship g/u tends to -inf, and the border is
+        # no part of the Toeplitz block whatever g is: x^2 + 5 on such a grid
+        # (the odd oscillator levels 3, 7, 11, raised by 5) has min g/u > 5
+        assert _safe_shift(flagship_problem(0, M=100)) == 0.0
+        problem = assemble(build_grid(0.5, 1.0, D4, 100), lambda x: x**2 + 5.0)
+        assert problem.omega is not None
+        assert np.min(problem.g / problem.weight) > 5.0
+        assert _safe_shift(problem) == 0.0
+        got = [p.eigenvalue for p in solve(problem, 3)]
+        assert np.allclose(got, [8.0, 12.0, 16.0], atol=1e-8)
+
+    def test_shift_cuts_the_lanczos_steps(self, monkeypatch):
+        import sinccol.dense_eig as dense_eig
+        from sinccol.collocation import _pencil_matrices
+
+        steps = []
+        operator = dense_eig.LinearOperator
+
+        def counted(shape, matvec, dtype):
+            return operator(shape, matvec=lambda x: steps.append(1) or matvec(x), dtype=dtype)
+
+        monkeypatch.setattr(dense_eig, "LinearOperator", counted)
+        problem = flagship_problem(4, M=100)
+        solve(problem, 5)
+        shifted, steps[:] = len(steps), []
+        left, right, times, norm = _pencil_matrices(problem)
+        dense_eig.eigh_pencil(left, right, 5, times, norm)
+        # 47 against 87 operator applications when written
+        assert shifted <= 60 < len(steps)

@@ -320,3 +320,57 @@ class TestPencil:
         assert np.all(eigh_pencil(left.copy(), right, 5, times, norm).residuals <= RESIDUAL_TOL)
         with pytest.raises(EigenSolveError, match="residual contract violated"):
             eigh_pencil(left, right, 5, perturbed, norm)
+
+    @staticmethod
+    def peak_normalized(V):
+        """Columns scaled to +1 at their largest-magnitude entry."""
+        return V / V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("l", [1, 4])
+    def test_shifted_pencil_matches_the_unshifted_one(self, l, count):
+        from sinccol import flagship_problem
+        from sinccol.collocation import _safe_shift
+
+        left, right, times, norm = self.flagship_pencil(l, 100)
+        shift = _safe_shift(flagship_problem(l, M=100))
+        assert shift > 0.0
+        plain = eigh_pencil(left.copy(order="F"), right, count, times, norm)
+        shifted = eigh_pencil(left, right, count, times, norm, shift=shift)
+        assert np.allclose(shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
+        assert np.all(shifted.residuals <= RESIDUAL_TOL)
+        assert np.allclose(self.peak_normalized(shifted.eigenvectors),
+                           self.peak_normalized(plain.eigenvectors), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("count", [3, 7])
+    def test_shifted_random_pencil_matches_the_unshifted_one(self, count):
+        # count 7 of n = 8 takes dsygvx, which factors the shifted left too
+        left, right = self.random_pencil(8, 9)
+        plain = self.solve(left, right, count)
+        norm = np.abs(left).sum(1).max()
+        shift = 0.9 * plain.eigenvalues[0]
+        shifted = eigh_pencil(left.copy(), right, count, left.__matmul__, norm, shift=shift)
+        assert np.allclose(shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
+        assert np.allclose(self.peak_normalized(shifted.eigenvectors),
+                           self.peak_normalized(plain.eigenvectors), rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_shift_above_the_lowest_level_is_reported(self, count):
+        import scipy.sparse
+
+        left, right = self.random_pencil(8, 9)
+        lowest = self.solve(left, right, 1).eigenvalues[0]
+        norm = np.abs(left).sum(1).max()
+        for right_form in (right, scipy.sparse.csr_array(right)):
+            with pytest.raises(EigenSolveError, match="not positive definite"):
+                eigh_pencil(left.copy(), right_form, count, left.__matmul__, norm,
+                            shift=lowest + 0.01)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_is_refused_before_the_factorization(self, shift):
+        left, right = self.random_pencil(5, 1)
+        left = np.asfortranarray(left)
+        saved = left.copy()
+        with pytest.raises(ValueError, match="shift must be finite"):
+            eigh_pencil(left, right, 2, left.__matmul__, 1.0, shift=shift)
+        assert np.array_equal(left, saved)

@@ -358,6 +358,22 @@ class TestBlockedInterpolate:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_kernel_spectra_are_cached_read_only(self):
+        # the far field's kernels depend on the grid size alone
+        g = build_grid(4.5, 1.0, D4, 100)
+        first_values, other_values = np.random.default_rng(5).standard_normal((2, g.size))
+        xs = np.geomspace(0.01, 20.0, 500)
+        sinc._kernel_spectra.cache_clear()
+        first = interpolate(g, first_values, xs)
+        spectra = sinc._kernel_spectra(g.size)
+        assert not spectra.flags.writeable
+        saved = spectra.copy()
+        interpolate(g, other_values, xs)
+        assert sinc._kernel_spectra(g.size) is spectra
+        assert np.array_equal(spectra, saved)
+        sinc._kernel_spectra.cache_clear()
+        assert np.array_equal(interpolate(g, first_values, xs), first)
+
 
 class TestQuadrature:
     def test_gamma_integrand(self):
