@@ -18,7 +18,7 @@ from .coulomb import (
     solve_states,
     state_overlap,
 )
-from .dense_eig import RESIDUAL_TOL, EigenDecomposition, EigenSolveError, eig, eigh_pencil
+from .dense_eig import RESIDUAL_TOL, EigenDecomposition, EigenSolveError, eigh_pencil
 from .sinc import (
     DeltaMatrices,
     SincGrid,
@@ -48,7 +48,6 @@ __all__ = [
     "assemble",
     "build_deltas",
     "build_grid",
-    "eig",
     "eigh_pencil",
     "eigen_table",
     "evaluate_radial",

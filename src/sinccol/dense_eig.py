@@ -8,12 +8,13 @@ L of its left matrix: implicitly restarted Lanczos (ARPACK, through
 operator, two with the explicit inverse L^-1 (dtrmv) each, or for a
 single pair two triangular solves, so the K x K matrix is never
 tridiagonalized.  Only for nearly the whole spectrum, which ARPACK
-cannot return, does it go to dsygvx.  A caller that knows a lower bound
-sigma on the lowest level passes it as ``shift``: both solvers then
-factor left - sigma right, which is positive definite exactly when sigma
-lies below every level, and search mu = 1/(lambda - sigma), whose
-largest values stand farther apart than those of 1/lambda, so Lanczos
-needs fewer steps (Ericsson & Ruhe, Math. Comp. 35 (1980) 1251).
+cannot return, is the reduced matrix formed from the same operator and
+diagonalized densely.  A caller that knows a lower bound sigma on the
+lowest level passes it as ``shift``: the solve then factors
+left - sigma right, which is positive definite exactly when sigma lies
+below every level, and searches mu = 1/(lambda - sigma), whose largest
+values stand farther apart than those of 1/lambda, so Lanczos needs
+fewer steps (Ericsson & Ruhe, Math. Comp. 35 (1980) 1251).
 
 The caller passes the dense left matrix, which the solve overwrites,
 together with the product V -> left @ V and the norm ||left||_inf of the
@@ -117,8 +118,6 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=V, residuals=residuals)
 
 
-_NOT_POSITIVE_DEFINITE = ("left matrix is not positive definite: the lowest level is not above "
-                          "the shift (0 unless one is given); shift the potential up")
 # Products with L^-1 (dtrmv) thread in OpenBLAS, solves with L (dtrsv) do not.
 # The inversion (dtrtri) repays after about 50 Lanczos steps.  With the
 # collocation shift one pair takes 21 steps and two to five 37 to 59.  Summed
@@ -127,14 +126,16 @@ _NOT_POSITIVE_DEFINITE = ("left matrix is not positive definite: the lowest leve
 _INVERSE_MIN_COUNT = 2
 
 
-def _largest_reduced(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` largest mu of right v = mu left v, ascending, by
-    Lanczos on L^-1 right L^-T, left = L L^T factored in place (and L
-    inverted in place for ``count >= _INVERSE_MIN_COUNT``)."""
+def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` largest mu of right v = mu left v, ascending, from the
+    reduced operator L^-1 right L^-T, left = L L^T factored in place (and L
+    inverted in place for ``count >= _INVERSE_MIN_COUNT``): by Lanczos, or
+    for ``count >= n - 1`` by a dense symmetric eigensolve of its matrix."""
     n = left.shape[0]
     L, info = lapack.dpotrf(left, lower=1, clean=0, overwrite_a=1)
     if info != 0:
-        raise EigenSolveError(_NOT_POSITIVE_DEFINITE)
+        raise EigenSolveError("left matrix is not positive definite: the lowest level is not "
+                              "above the shift (0 unless one is given); shift the potential up")
     inverted = count >= _INVERSE_MIN_COUNT
     if inverted:
         L, info = lapack.dtrtri(L, lower=1, overwrite_c=1)
@@ -146,26 +147,20 @@ def _largest_reduced(left: np.ndarray, right, count: int) -> tuple[np.ndarray, n
         x = vector(L, y, lower=1, trans=1)
         return vector(L, right @ x, lower=1, overwrite_x=1)
 
-    operator = LinearOperator((n, n), matvec=reduced, dtype=float)
-    try:
-        mu, Y = eigsh(operator, k=count, which="LA", v0=np.ones(n), tol=0)
-    except ArpackError as exc:  # ArpackNoConvergence included
-        raise EigenSolveError(f"Lanczos failed ({type(exc).__name__}): {exc}") from exc
+    if count >= n - 1:
+        reduced_matrix = np.column_stack([reduced(e) for e in np.eye(n)])
+        try:
+            mu, Y = scipy.linalg.eigh(reduced_matrix, subset_by_index=[n - count, n - 1],
+                                      overwrite_a=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise EigenSolveError(f"symmetric eigensolver failed: {exc}") from exc
+    else:
+        operator = LinearOperator((n, n), matvec=reduced, dtype=float)
+        try:
+            mu, Y = eigsh(operator, k=count, which="LA", v0=np.ones(n), tol=0)
+        except ArpackError as exc:  # ArpackNoConvergence included
+            raise EigenSolveError(f"Lanczos failed ({type(exc).__name__}): {exc}") from exc
     return mu, np.array([vector(L, y, lower=1, trans=1) for y in Y.T]).T
-
-
-def _largest_dense(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` largest mu of right v = mu left v, ascending, by dsygvx."""
-    n = left.shape[0]
-    # a copy: the caller's right is still needed for the residual
-    right = right.toarray() if scipy.sparse.issparse(right) else np.array(right, dtype=float)
-    try:
-        return scipy.linalg.eigh(right, left, subset_by_index=[n - count, n - 1],
-                                 overwrite_a=True, overwrite_b=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        if "positive definite" in str(exc):
-            raise EigenSolveError(_NOT_POSITIVE_DEFINITE) from exc
-        raise EigenSolveError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, count: int,
@@ -192,8 +187,10 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     bit-identical) applies the operator by two products with L^-1 (dtrmv,
     after dtrtri inverts L in place), or for a single pair by two solves
     with L (dtrsv); the eigenvectors are v = L^-T y.  For
-    ``count >= n - 1``, beyond ARPACK's reach, LAPACK dsygvx reduces the
-    whole pencil instead.
+    ``count >= n - 1``, beyond ARPACK's reach, the same operator is
+    applied to the n unit vectors and the resulting n x n matrix is
+    diagonalized densely (``scipy.linalg.eigh``), with the same factor
+    and back-transform.
 
     A finite ``shift`` sigma below the lowest level is subtracted first:
     ``left`` becomes left - sigma right in its own storage, L is its
@@ -203,9 +200,10 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     ``left_norm``.  A non-finite shift is a ValueError.
 
     Raises EigenSolveError if ``left`` (less the shift) is not positive
-    definite, if inverting L fails, if Lanczos does not converge, if a
-    requested mu is not positive (lambda infinite) or if any pair misses
-    the residual contract, a non-finite residual included.
+    definite, if inverting L fails, if Lanczos or the dense eigensolve
+    does not converge, if a requested mu is not positive (lambda
+    infinite) or if any pair misses the residual contract, a non-finite
+    residual included.
     """
     n = left.shape[0]
     _validate_count(count, n)
@@ -214,8 +212,7 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     if shift:
         right_entries = scipy.sparse.coo_array(right)
         np.subtract.at(left, (right_entries.row, right_entries.col), shift * right_entries.data)
-    solver = _largest_dense if count >= n - 1 else _largest_reduced
-    mu, V = solver(left, right, count)
+    mu, V = _largest(left, right, count)
     if not mu[0] > 0.0:
         raise EigenSolveError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
                               "eigenvalues are finite")

@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# about this many entries (512 KiB of float64) per row block of `_direct_cauchy`:
-# the fastest block size timed at K = 151, 551 and 2751 with 4000 abscissae
-_BLOCK_ENTRIES = 2**16
+# rows per block of `_direct_cauchy`, in whole groups of 16 so that BLAS sums
+# each row as one product over all rows would
+_DIRECT_ROWS = 64
 # `interpolate` sums the terms with |k - m| <= _NEAR directly and the rest by
 # _TERMS terms of a Taylor series in |r| <= 1/2, whose ratio is at most
 # 1/(2 _NEAR + 2): _TERMS is the least with (2 _NEAR + 2)^-_TERMS <= 1e-16
@@ -275,11 +275,11 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
       whose _TERMS real-FFT convolutions are formed once per call (the
       kernels' spectra are kept for the last grid size).  A row costs
       O(_NEAR + _TERMS), and a call O(_TERMS K log K) besides.
-    * k farther out: the whole sum runs directly over row blocks, one
-      reciprocal pass and one matrix-vector product per block, in one
-      reused buffer of about 2^16 entries (at least 16 rows).
+    * k farther out: the whole sum runs directly over blocks of
+      _DIRECT_ROWS rows, one reciprocal pass and one matrix-vector
+      product per block.
 
-    P abscissae take O(P + K + 2^16) memory rather than a P x K matrix.
+    P abscissae take O(P + K) memory rather than a P x K matrix.
     The result has the shape of x, and a scalar x gives a float.
     """
     values = np.asarray(values, dtype=float)
@@ -364,23 +364,13 @@ def _kernel_spectra(size: int) -> np.ndarray:
 
 
 def _direct_cauchy(c: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_m c_m / (t - m) term by term over row blocks, for t at no grid index m."""
+    """sum_m c_m / (t - m) term by term, _DIRECT_ROWS rows at a time, for t at
+    no grid index m."""
     cauchy = np.empty(t.size)
-    rows = _block_rows(c.size)
-    buffer = np.empty((min(rows, t.size), c.size))
-    for start in range(0, t.size, rows):
-        block = t[start:start + rows]
-        inverse = buffer[:block.size]
-        np.subtract(block[:, None], indices, out=inverse)
-        np.reciprocal(inverse, out=inverse)
-        np.matmul(inverse, c, out=cauchy[start:start + block.size])
+    for start in range(0, t.size, _DIRECT_ROWS):
+        block = t[start:start + _DIRECT_ROWS]
+        cauchy[start:start + block.size] = 1.0 / (block[:, None] - indices) @ c
     return cauchy
-
-
-def _block_rows(size: int) -> int:
-    """Rows per block of `_direct_cauchy`: about _BLOCK_ENTRIES entries, in whole
-    groups of 16, so BLAS groups rows as one product over all of them would."""
-    return 16 * max(1, _BLOCK_ENTRIES // (16 * size))
 
 
 def quadrature(grid: SincGrid, integrand: Callable[[np.ndarray], np.ndarray]) -> float:

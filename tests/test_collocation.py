@@ -127,7 +127,7 @@ class TestSolve:
 
     def test_transposed_system_shares_spectrum(self, log_l1):
         problem, pairs = log_l1
-        from sinccol import eig
+        from sinccol.dense_eig import eig
 
         w = eig(problem.matrix).eigenvalues
         keep = np.abs(w.imag) <= 1e-8 * np.maximum(1.0, np.abs(w.real))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from sinccol import RESIDUAL_TOL, EigenSolveError, eig, eigh_pencil
+from sinccol import RESIDUAL_TOL, EigenSolveError, eigh_pencil
+from sinccol.dense_eig import eig
 
 from oracles import charpoly_coefficients, charpoly_eval
 
@@ -287,6 +288,73 @@ class TestPencil:
         assert np.allclose(dec.eigenvalues, full[:n - spare], rtol=1e-10)
         assert np.all(dec.residuals <= RESIDUAL_TOL)
 
+    @pytest.mark.parametrize("safe_shift", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 6, 7, 8])
+    def test_one_factorization_at_every_count(self, count, safe_shift, monkeypatch):
+        import scipy.linalg
+
+        from sinccol import dense_eig
+
+        n = 8
+        left, right = self.random_pencil(n, 6)
+        full = scipy.linalg.eigh(left, right, eigvals_only=True)
+        shift = 0.9 * full[0] if safe_shift else 0.0
+        factored, solved = [], []
+        dpotrf, eigh = dense_eig.lapack.dpotrf, dense_eig.scipy.linalg.eigh
+
+        def counting_dpotrf(a, **kwargs):
+            factored.append(a.shape)
+            return dpotrf(a, **kwargs)
+
+        def one_matrix_eigh(a, b=None, **kwargs):
+            assert b is None, "a generalized eigensolver was called"
+            solved.append(a.shape)
+            return eigh(a, **kwargs)
+
+        monkeypatch.setattr(dense_eig.lapack, "dpotrf", counting_dpotrf)
+        monkeypatch.setattr(dense_eig.scipy.linalg, "eigh", one_matrix_eigh)
+        norm = np.abs(left).sum(1).max()
+        dec = eigh_pencil(left.copy(), right, count, left.__matmul__, norm, shift=shift)
+        assert factored == [(n, n)]
+        assert solved == ([(n, n)] if count >= n - 1 else [])
+        assert np.allclose(dec.eigenvalues, full[:count], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("l", [0, 1, 4])
+    def test_nearly_full_spectrum_matches_the_generalized_solve_on_flagship_grids(
+            self, l, M, monkeypatch):
+        import scipy.linalg
+
+        from sinccol import dense_eig, flagship_problem, solve
+        from sinccol.collocation import _pencil_matrices
+
+        def no_lanczos(*args, **kwargs):
+            raise AssertionError("Lanczos called for count >= n - 1")
+
+        problem = flagship_problem(l, M=M)
+        left, right, _, _ = _pencil_matrices(problem)
+        n = left.shape[0]
+        mu = scipy.linalg.eigh(right.toarray(), left, eigvals_only=True)
+        reference = np.sort(1.0 / mu[mu > 0.0])
+        monkeypatch.setattr(dense_eig, "eigsh", no_lanczos)
+        # the bordered l = 0 pencil has n = K + 1, and solve takes at most K pairs
+        for count in range(n - 1, problem.grid.size + 1):
+            got = [pair.eigenvalue for pair in solve(problem, count)]
+            assert np.allclose(got, reference[:count], rtol=1e-10, atol=0.0)
+
+    def test_dense_eigensolver_failure_is_reported(self, monkeypatch):
+        import scipy.linalg
+
+        from sinccol import dense_eig
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("synthetic non-convergence")
+
+        monkeypatch.setattr(dense_eig.scipy.linalg, "eigh", fail)
+        left, right = self.random_pencil(8, 2)
+        with pytest.raises(EigenSolveError, match="symmetric eigensolver failed: synthetic"):
+            self.solve(left, right, 7)
+
     def test_lanczos_non_convergence_is_reported(self, monkeypatch):
         from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -344,7 +412,7 @@ class TestPencil:
 
     @pytest.mark.parametrize("count", [3, 7])
     def test_shifted_random_pencil_matches_the_unshifted_one(self, count):
-        # count 7 of n = 8 takes dsygvx, which factors the shifted left too
+        # count 7 of n = 8 takes the dense solve of the same shifted, factored operator
         left, right = self.random_pencil(8, 9)
         plain = self.solve(left, right, count)
         norm = np.abs(left).sum(1).max()

@@ -298,7 +298,7 @@ class TestBlockedInterpolate:
     def test_matches_the_direct_sum_across_block_boundaries(self, integer_map):
         g = integer_map
         W = sinc._NEAR
-        rows = sinc._block_rows(g.size)
+        rows = sinc._DIRECT_ROWS
         beyond = 2 * rows + 7  # the direct path's last block is partial
         rng = np.random.default_rng(11)
         values = rng.standard_normal(g.size)
