@@ -20,9 +20,7 @@ from .coulomb import (
 )
 from .dense_eig import RESIDUAL_TOL, EigenDecomposition, EigenSolveError, eigh_pencil
 from .sinc import (
-    DeltaMatrices,
     SincGrid,
-    build_deltas,
     build_grid,
     interpolate,
     map_forward,
@@ -33,7 +31,6 @@ from .sinc import (
 
 __all__ = [
     "CollocationProblem",
-    "DeltaMatrices",
     "EigenDecomposition",
     "EigenPair",
     "EigenSolveError",
@@ -46,7 +43,6 @@ __all__ = [
     "DEFAULT_M",
     "RESIDUAL_TOL",
     "assemble",
-    "build_deltas",
     "build_grid",
     "eigh_pencil",
     "eigen_table",

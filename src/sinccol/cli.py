@@ -54,6 +54,32 @@ def _int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok != ""]
 
 
+def _rule(convert, ok, rule: str):
+    """An argparse ``type``: ``convert`` the string, then require ``ok`` of
+    the value; a failure is a usage error that names the argument."""
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {raw!r}")
+    return parse
+
+
+_STRIP = _rule(float, lambda v: 0 < v <= math.pi / 2, "must lie in (0, pi/2]")
+_DECAY = _rule(float, lambda v: 0.5 <= v <= 1.0, "must lie in [0.5, 1]")
+_POSITIVE = _rule(int, lambda v: v >= 1, "must be an integer >= 1")
+_NONNEGATIVE = _rule(int, lambda v: v >= 0, "must be a nonnegative integer")
+_WINDOW_END = _rule(float, lambda v: 0 < v < math.inf, "must be positive and finite")
+_L_LIST = _rule(_int_list, lambda ls: len(ls) > 0 and min(ls) >= 0,
+                "must be a nonnegative integer or comma list of them")
+_M_LIST = _rule(_int_list,
+                lambda ms: len(ms) >= 2 and ms[0] >= 1 and all(a < b for a, b in zip(ms, ms[1:])),
+                "must be a comma list of at least two strictly increasing positive integers")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinccol",
@@ -62,80 +88,42 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--d", type=float, default=DEFAULT_D,
+        p.add_argument("--d", type=_STRIP, default=DEFAULT_D,
                        help="strip half-width (default pi/4)")
-        p.add_argument("--beta", type=float, default=DEFAULT_BETA,
+        p.add_argument("--beta", type=_DECAY, default=DEFAULT_BETA,
                        help="decay exponent in [0.5, 1] (default 1)")
         p.add_argument("--format", choices=("csv", "table"), default="csv")
         p.add_argument("--output", default=None, help="output file (default stdout)")
 
     p_eig = sub.add_parser("eigen", help="emit an eigenvalue grid over (n, l)")
-    p_eig.add_argument("--l", default="0", help="angular momentum, int or comma list")
-    p_eig.add_argument("--count", type=int, default=5, help="number of levels per l")
-    p_eig.add_argument("--M", type=int, default=DEFAULT_M)
+    p_eig.add_argument("--l", type=_L_LIST, default="0",
+                       help="angular momentum, int or comma list")
+    p_eig.add_argument("--count", type=_POSITIVE, default=5, help="number of levels per l")
+    p_eig.add_argument("--M", type=_POSITIVE, default=DEFAULT_M)
     p_eig.add_argument("--lambda-prime", action="store_true", dest="lambda_prime",
                        help="also emit the shifted eigenvalue column")
+    p_eig.set_defaults(run=_cmd_eigen)
     common(p_eig)
 
     p_wf = sub.add_parser("wavefunction", help="emit (x, R) samples of a normalized state")
-    p_wf.add_argument("--l", type=int, default=0)
-    p_wf.add_argument("--n", type=int, default=0, help="radial index, 0 = ground state")
-    p_wf.add_argument("--M", type=int, default=DEFAULT_M)
-    p_wf.add_argument("--x-min", type=float, default=0.05, dest="x_min")
-    p_wf.add_argument("--x-max", type=float, default=10.0, dest="x_max")
-    p_wf.add_argument("--samples", type=int, default=200,
+    p_wf.add_argument("--l", type=_NONNEGATIVE, default=0)
+    p_wf.add_argument("--n", type=_NONNEGATIVE, default=0, help="radial index, 0 = ground state")
+    p_wf.add_argument("--M", type=_POSITIVE, default=DEFAULT_M)
+    p_wf.add_argument("--x-min", type=_WINDOW_END, default=0.05, dest="x_min")
+    p_wf.add_argument("--x-max", type=_WINDOW_END, default=10.0, dest="x_max")
+    p_wf.add_argument("--samples", type=_POSITIVE, default=200,
                       help="log-spaced sample count over [x-min, x-max]")
+    p_wf.set_defaults(run=_cmd_wavefunction)
     common(p_wf)
 
     p_cv = sub.add_parser("converge", help="track one eigenvalue over a list of M")
-    p_cv.add_argument("--l", type=int, default=0)
-    p_cv.add_argument("--n", type=int, default=0)
-    p_cv.add_argument("--M", default="", help="comma list of M values, strictly increasing")
+    p_cv.add_argument("--l", type=_NONNEGATIVE, default=0)
+    p_cv.add_argument("--n", type=_NONNEGATIVE, default=0)
+    p_cv.add_argument("--M", type=_M_LIST, default="",
+                      help="comma list of M values, strictly increasing")
+    p_cv.set_defaults(run=_cmd_converge)
     common(p_cv)
     return parser
-
-
-def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
-    """Check ``args`` in place, turning the comma lists of ``eigen --l`` and
-    ``converge --M`` into lists of integers; usage errors exit through
-    ``parser.error``."""
-    if not 0 < args.d <= math.pi / 2:
-        parser.error(f"--d must lie in (0, pi/2], got {args.d}")
-    if not 0.5 <= args.beta <= 1.0:
-        parser.error(f"--beta must lie in [0.5, 1], got {args.beta}")
-
-    if args.command == "eigen":
-        try:
-            args.l = _int_list(args.l)
-        except ValueError:
-            parser.error(f"--l must be an integer or comma list, got {args.l!r}")
-        if not args.l or any(l < 0 for l in args.l):
-            parser.error("--l values must be nonnegative integers")
-        if args.count < 1:
-            parser.error("--count must be >= 1")
-        if args.M < 1:
-            parser.error("--M must be >= 1")
-    elif args.command == "wavefunction":
-        if args.l < 0 or args.n < 0:
-            parser.error("--l and --n must be nonnegative")
-        if args.M < 1:
-            parser.error("--M must be >= 1")
-        if not 0 < args.x_min < args.x_max < math.inf:
-            parser.error("require 0 < x-min < x-max < inf")
-        if args.samples < 1:
-            parser.error("--samples must be >= 1")
-    else:
-        if args.l < 0 or args.n < 0:
-            parser.error("--l and --n must be nonnegative")
-        try:
-            args.M = _int_list(args.M)
-        except ValueError:
-            parser.error(f"--M must be a comma list of integers, got {args.M!r}")
-        if len(args.M) < 2:
-            parser.error("--M needs at least two values for a convergence run")
-        if any(b <= a for a, b in zip(args.M, args.M[1:])) or args.M[0] < 1:
-            parser.error("--M values must be strictly increasing positive integers")
-    return args
 
 
 def _cmd_eigen(args: argparse.Namespace) -> None:
@@ -174,14 +162,11 @@ def _cmd_converge(args: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = _validate_args(parser, parser.parse_args(argv))
+    args = parser.parse_args(argv)
+    if args.command == "wavefunction" and args.x_min >= args.x_max:
+        parser.error(f"argument --x-max: must exceed --x-min, got {args.x_max} <= {args.x_min}")
     try:
-        if args.command == "eigen":
-            _cmd_eigen(args)
-        elif args.command == "wavefunction":
-            _cmd_wavefunction(args)
-        else:
-            _cmd_converge(args)
+        args.run(args)
     except (EigenSolveError, ValueError, ArithmeticError) as exc:
         print(f"sinccol: error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR

@@ -14,14 +14,24 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 
-def shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x0=1e-6, x_end=14.0,
-                         scan=160, rtol=1e-11):
+# Shooting starts at x = X0, locates brackets on a SCAN-point grid of
+# lambda at a coarse tolerance and refines each root by brentq at RTOL.
+X0 = 1e-6
+SCAN = 160
+RTOL = 1e-11
+
+
+def shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x_end=14.0):
     """Lowest eigenvalues of -u'' + q(x) u = lam u on (0, inf) by shooting.
 
-    Integrates from x0 with the regular behavior u ~ x^(l+1/2) and brackets
-    sign changes of the renormalized endpoint value over [lam_lo, lam_hi].
-    A cheap low-accuracy scan locates brackets, brentq refines each root at
-    full accuracy.
+    Integrates in s = ln x with u = x^(1/2) w, where the equation reads
+    w'' = (x^2 (q(x) - lam) + 1/4) w, from the regular behavior w ~ e^(l s)
+    at x = X0, and brackets sign changes of the endpoint value over
+    [lam_lo, lam_hi].  Near zero u ~ x^(l+1/2) forces tiny steps in x,
+    while w is smooth in s and DOP853 takes long steps.  ``atol`` is
+    scaled to the starting amplitude X0^l: w' starts at 0 for l = 0, and
+    a tiny ``atol`` on it forces steps near 1e-12.  A cheap low-accuracy
+    scan locates brackets, brentq refines each root at full accuracy.
 
     ``x_end`` stands in for infinity and has to lie well past the
     outermost classical turning point of the highest requested level, or
@@ -31,19 +41,21 @@ def shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x0=1e-6, x_end=14.0,
     n = 3, 4, while x_end = 30 and x_end = 40 both give 2.5154477 and
     2.7676286 (agreeing to 5e-9).
     """
-    r = l + 0.5
+    s0 = math.log(X0)
+    w0 = X0**l
 
     def endpoint(lam, tol):
-        def rhs(x, y):
-            return (y[1], (q(x) - lam) * y[0])
+        def rhs(s, y):
+            x = math.exp(s)
+            return (y[1], (x * x * (q(x) - lam) + 0.25) * y[0])
 
-        sol = solve_ivp(rhs, (x0, x_end), (x0**r, r * x0 ** (r - 1.0)),
-                        method="RK45", rtol=tol, atol=1e-280)
-        return sol.y[0, -1] / np.max(np.abs(sol.y[0]))
+        sol = solve_ivp(rhs, (s0, math.log(x_end)), (w0, l * w0),
+                        method="DOP853", rtol=tol, atol=1e-2 * tol * w0)
+        return sol.y[0, -1]
 
     coarse = lambda lam: endpoint(lam, 1e-7)
-    fine = lambda lam: endpoint(lam, rtol)
-    grid = np.linspace(lam_lo, lam_hi, scan)
+    fine = lambda lam: endpoint(lam, RTOL)
+    grid = np.linspace(lam_lo, lam_hi, SCAN)
     vals = [coarse(g) for g in grid]
     roots = []
     for i in range(len(grid) - 1):

@@ -154,14 +154,44 @@ class TestDefaults:
     def test_reference_settings(self):
         import math
 
-        from sinccol.cli import _build_parser, _validate_args
+        from sinccol.cli import _build_parser
 
-        parser = _build_parser()
-        cfg = _validate_args(parser, parser.parse_args(["eigen"]))
+        cfg = _build_parser().parse_args(["eigen"])
+        assert cfg.l == [0]
         assert cfg.M == 500
         assert cfg.d == math.pi / 4
         assert cfg.beta == 1.0
         assert cfg.format == "csv"
+
+
+class TestUsageRules:
+    """Each usage rule, fed one bad value: exit 2, nothing on stdout, and
+    argparse's message naming the argument on stderr."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["eigen", "--d", "2"], "--d"),
+        (["wavefunction", "--beta", "0.4"], "--beta"),
+        (["eigen", "--l", "1,-2"], "--l"),
+        (["eigen", "--count", "1.5"], "--count"),
+        (["eigen", "--M", "0"], "--M"),
+        (["wavefunction", "--M", "0"], "--M"),
+        (["wavefunction", "--l", "-1"], "--l"),
+        (["wavefunction", "--n", "-1"], "--n"),
+        (["wavefunction", "--samples", "0"], "--samples"),
+        (["wavefunction", "--x-min", "0"], "--x-min"),
+        (["wavefunction", "--x-max", "inf"], "--x-max"),
+        (["wavefunction", "--x-min", "5", "--x-max", "2"], "--x-max"),
+        (["converge", "--l", "-1", "--M", "1,2"], "--l"),
+        (["converge", "--n", "-1", "--M", "1,2"], "--n"),
+        (["converge", "--M", "10,2.5"], "--M"),
+    ])
+    def test_bad_value_names_its_argument(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out = capsys.readouterr()
+        assert err.value.code == 2
+        assert out.out == ""
+        assert f"argument {name}:" in out.err
 
 
 class TestExitCodes:

@@ -64,7 +64,7 @@ class TestAssemble:
         # -(1 + e^(-2m)) d2 + e^(-2m) d1, column-scaled
         grid = synthetic_grid(1.0, 6, 6)
         A = assemble(grid, lambda x: 0.0 * x).matrix
-        from sinccol import build_deltas
+        from sinccol.sinc import build_deltas
 
         deltas = build_deltas(grid)
         e2m = np.exp(-2.0 * grid.indices.astype(float))

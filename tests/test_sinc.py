@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinccol import (
-    build_deltas,
     build_grid,
     interpolate,
     map_forward,
@@ -19,6 +18,7 @@ from sinccol import (
     sinc_basis,
 )
 from sinccol import sinc
+from sinccol.sinc import build_deltas
 
 D4 = math.pi / 4
 
