@@ -10,6 +10,13 @@ the grid exponent alpha = l + 1/2; at infinity it falls off like
 e^(-x ln x), so any decay exponent beta <= 1 bounds it.  A second,
 shifted eigenvalue parameterization differs from lambda by the constant
 Euler-Mascheroni gamma + ln(2); both are carried on every solution.
+
+``solve_states`` and ``eigen_table`` solve on a window of the paper's
+grid: M sets the step, the states set the ends.  The window holds the
+points where the highest level's WKB decay in Langer's q = l^2/x^2 + ln(x)
+(Phys. Rev. 51 (1937) 669) stays below 17 decades.  The level is estimated
+by Bohr-Sommerfeld, then checked against the solve, which is repeated once
+on the hull of both windows if they differ.  No window extends the grid.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .collocation import CollocationProblem, EigenPair, assemble, solve
-from .dense_eig import EigenSolveError
+from .dense_eig import EigenSolveError, _validate_count
 from .sinc import SincGrid, build_grid, interpolate
 
 __all__ = [
@@ -48,6 +55,7 @@ DEFAULT_BETA = 1.0
 DEFAULT_M = 500
 
 NORM_TOL = 1e-8
+_WINDOW_DECAY = 17.0 * math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,51 @@ def flagship_problem(l: int, beta: float = DEFAULT_BETA, d: float = DEFAULT_D,
     return assemble(grid, log_coulomb_potential(l))
 
 
+def _level_estimate(langer: np.ndarray, weights: np.ndarray, n: int) -> float:
+    """lambda_n where int sqrt(max(lambda - q, 0)) dx, the sinc quadrature
+    with ``weights`` over the Langer q, reaches pi (n + 1/2), by bisection."""
+    def phase(lam):
+        return np.sqrt(np.maximum(lam - langer, 0.0)) @ weights
+
+    lo = float(np.min(langer))
+    hi = lo + 1.0
+    while phase(hi) < math.pi * (n + 0.5):
+        lo, hi = hi, 2.0 * hi - lo
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if phase(mid) < math.pi * (n + 0.5) else (lo, mid)
+    return hi
+
+
+def _window_ends(langer: np.ndarray, weights: np.ndarray, lam: float) -> tuple[int, int]:
+    """Offsets of the first and last point whose WKB decay int sqrt(q - lambda)
+    dx from the outermost turning points of the Langer q is below _WINDOW_DECAY."""
+    allowed = np.flatnonzero(langer <= max(lam, np.min(langer)))
+    kappa = np.sqrt(np.maximum(langer - lam, 0.0)) * weights
+    left = np.count_nonzero(np.cumsum(kappa[allowed[0]::-1]) < _WINDOW_DECAY)
+    right = np.count_nonzero(np.cumsum(kappa[allowed[-1]:]) < _WINDOW_DECAY)
+    return int(allowed[0]) - left + 1, int(allowed[-1]) + right - 1
+
+
+def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int):
+    """The window of the paper's grid that holds the lowest ``count`` flagship
+    pairs, and those pairs (module docstring)."""
+    grid = flagship_problem(l, beta=beta, d=d, M=M).grid
+    _validate_count(count, grid.size)
+    # formed directly: adding 1/(4x^2) to the l = 0 potential cancels ln x
+    langer = np.square(l / grid.points) + np.log(grid.points)
+    weights = grid.a / grid.phi1
+    lo, hi = _window_ends(langer, weights, _level_estimate(langer, weights, count - 1))
+    for _ in range(2):
+        window = grid.window(lo - grid.M, hi - grid.M)
+        pairs = solve(assemble(window, log_coulomb_potential(l)), count)
+        held = _window_ends(langer, weights, pairs[-1].eigenvalue)
+        if lo <= held[0] and held[1] <= hi:
+            break
+        lo, hi = min(lo, held[0]), max(hi, held[1])
+    return window, pairs
+
+
 def _radial_norm_sq(grid: SincGrid, coefficients: np.ndarray) -> float:
     # int R^2 dx = int f^2/x dx by sinc quadrature; the integrand is
     # needed at sinc points only, so it comes straight from the nodal
@@ -135,9 +188,8 @@ def evaluate_radial(solution: RadialSolution, x: np.ndarray | float) -> np.ndarr
 def solve_states(l: int, count: int, beta: float = DEFAULT_BETA, d: float = DEFAULT_D,
                  M: int = DEFAULT_M) -> list[RadialSolution]:
     """Solve the flagship problem and normalize the lowest ``count`` states."""
-    problem = flagship_problem(l, beta=beta, d=d, M=M)
-    pairs = solve(problem, count)
-    return [normalize(pair, problem.grid, l, n) for n, pair in enumerate(pairs)]
+    grid, pairs = _windowed_pairs(l, count, beta, d, M)
+    return [normalize(pair, grid, l, n) for n, pair in enumerate(pairs)]
 
 
 def state_overlap(a: RadialSolution, b: RadialSolution) -> float:
@@ -167,7 +219,5 @@ def eigen_table(l_values: Sequence[int], n_count: int, beta: float = DEFAULT_BET
     """
     table = np.empty((n_count, len(l_values)))
     for j, l in enumerate(l_values):
-        problem = flagship_problem(l, beta=beta, d=d, M=M)
-        pairs = solve(problem, n_count)
-        table[:, j] = [p.eigenvalue for p in pairs]
+        table[:, j] = [p.eigenvalue for p in _windowed_pairs(l, n_count, beta, d, M)[1]]
     return table

@@ -5,8 +5,8 @@ Hessenberg reduction, shifted QR) through scipy.  ``eigh_pencil`` finds
 the lowest pairs of a symmetric-definite pencil from the Cholesky factor
 L of its left matrix: implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) needs only products with the reduced
-operator, two with the explicit inverse L^-1 (dtrmv) each, or for a
-single pair two triangular solves, so the K x K matrix is never
+operator, two with the explicit inverse L^-1 (dtrmv) each, or for up
+to three pairs two triangular solves, so the K x K matrix is never
 tridiagonalized.  Only for nearly the whole spectrum, which ARPACK
 cannot return, is the reduced matrix formed from the same operator and
 diagonalized densely.  A caller that knows a lower bound sigma on the
@@ -118,12 +118,13 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=V, residuals=residuals)
 
 
-# Products with L^-1 (dtrmv) thread in OpenBLAS, solves with L (dtrsv) do not.
-# The inversion (dtrtri) repays after about 50 Lanczos steps.  With the
-# collocation shift one pair takes 21 steps and two to five 37 to 59.  Summed
-# over six flagship pencils (n = 752..2751, best of 9), four and five pairs
-# gain 31 to 116 ms, two and three lose up to 59 ms, one pair loses 0.13 s.
-_INVERSE_MIN_COUNT = 2
+# Products with L^-1 (dtrmv) thread in OpenBLAS, solves with L (dtrsv) do not,
+# and the inversion (dtrtri) repays only over enough Lanczos steps.  ms saved by
+# inverting, summed over the windowed flagship pencils l = 0..4 (best of 9, 2 cores):
+#   pairs                           1         2       3         4       5
+#   M = 500, n 709..1772, 3 runs   -15..-18  -1..-8  -10..-37  -2..+6  +2..+3
+#   M = 300 and 200, n 301..1372   -6, -6    +3, +3  +2, +2    +7, +6  +12, +7
+_INVERSE_MIN_COUNT = 4
 
 
 def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +186,8 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     costs no accuracy in the low end of the spectrum.  Lanczos (ARPACK
     ``eigsh``, start vector all ones, so that repeated solves are
     bit-identical) applies the operator by two products with L^-1 (dtrmv,
-    after dtrtri inverts L in place), or for a single pair by two solves
-    with L (dtrsv); the eigenvectors are v = L^-T y.  For
+    after dtrtri inverts L in place), or for up to three pairs by two
+    solves with L (dtrsv); the eigenvectors are v = L^-T y.  For
     ``count >= n - 1``, beyond ARPACK's reach, the same operator is
     applied to the n unit vectors and the resulting n x n matrix is
     diagonalized densely (``scipy.linalg.eigh``), with the same factor

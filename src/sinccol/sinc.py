@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -56,8 +56,9 @@ class SincGrid:
         beta: exponential decay exponent bounding the class at infinity.
         d: half-width of the analyticity strip, 0 < d <= pi/2.
         M: lower summation limit (indices start at -M).
-        N: upper summation limit, N = ceil((alpha/beta) * M).
-        a: step size, a = sqrt(2*pi*d / (alpha*M)).
+        N: upper summation limit, N = ceil((alpha/beta) * M) on build_grid's grid.
+        a: step size, a = sqrt(2*pi*d / (alpha*M)) on build_grid's grid; a
+            ``window`` of it keeps a and the indices but not M and N.
         points: sinc points x_m = psi(m*a), m = -M..N, strictly increasing.
         phi1: phi'(x_m) = sqrt(1 + e^(-2ma)), stored in closed form.
         phi2: phi''(x_m) = -e^(-2ma), stored in closed form.
@@ -82,6 +83,14 @@ class SincGrid:
     def indices(self) -> np.ndarray:
         """Logical indices m = -M..N matching ``points`` positionally."""
         return np.arange(-self.M, self.N + 1)
+
+    def window(self, lo: int, hi: int) -> SincGrid:
+        """The sub-grid of logical indices lo..hi: same map, step and indices."""
+        if not -self.M <= lo <= hi <= self.N:
+            raise ValueError(f"window {lo}..{hi} is not inside the grid's {-self.M}..{self.N}")
+        kept = slice(lo + self.M, hi + self.M + 1)
+        return replace(self, M=-int(lo), N=int(hi), points=self.points[kept],
+                       phi1=self.phi1[kept], phi2=self.phi2[kept])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """CLI contract tests: formats, exit codes, determinism."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,14 @@ class TestEigenCommand:
         code, _, _ = run_cli(capsys, *args, "--output", str(path))
         assert code == 0
         assert path.read_bytes().decode() == out
+
+    def test_paper_table_matches_the_committed_one(self, capsys):
+        # tests/data/paper_table.csv holds this command's stdout on the paper's
+        # full grid, before solves moved onto windows of it
+        code, out, _ = run_cli(capsys, "eigen", "--l", "0,1,2,3,4", "--count", "5",
+                               "--lambda-prime")
+        assert code == 0
+        assert out == (pathlib.Path(__file__).parent / "data" / "paper_table.csv").read_text()
 
     def test_usage_error_on_bad_m(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -230,4 +240,5 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "eigen", "--l", "4", "--count", "5", "--M", "100")
         assert code == 1
         assert out == ""
-        assert "K = 551" in err and "reduce M" in err
+        # the window of the paper's K = 551 grid that holds the five states
+        assert "K = 538" in err and "reduce M" in err

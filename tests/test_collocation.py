@@ -200,6 +200,18 @@ class TestSolve:
                              check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
         assert out.split() == ["False", "True"]
 
+    def test_import_and_solve_load_no_scipy_integrate_or_optimize(self):
+        # each adds 0.15 to 0.18 s to a fresh interpreter's import of sinccol
+        import sinccol
+
+        src = pathlib.Path(sinccol.__file__).parents[1]
+        code = ("import sys, sinccol; sinccol.solve_states(1, 5, M=10); "
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+                "(['scipy', 'integrate'], ['scipy', 'optimize'])))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "[]"
+
     def test_oscillator_l1_matches_closed_form_and_shooting(self):
         # radial oscillator, l = 1: exact levels 4n + 2l + 2 = 4, 8, 12
         q = lambda x: 3.0 / (4.0 * x**2) + x**2

@@ -10,6 +10,7 @@ from sinccol import (
     EULER_GAMMA,
     LEVEL_SHIFT,
     build_grid,
+    eigen_table,
     evaluate_radial,
     flagship_problem,
     interpolate,
@@ -199,3 +200,87 @@ class TestRadialFunction:
         f_fine = np.atleast_1d(interpolate(s.grid, s.coefficients, fine.points))
         val = fine.a * np.sum(np.square(f_fine) / (fine.points * fine.phi1))
         assert val == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def paper_pairs():
+    """The lowest 20 pairs of flagship_problem + solve at M = 500, l = 0..4."""
+    from sinccol import solve
+
+    return {l: solve(flagship_problem(l, M=500), 20) for l in range(5)}
+
+
+@pytest.fixture(scope="module")
+def windowed():
+    """solve_states at M = 500 for l = 0..4, by count."""
+    return {count: [solve_states(l, count, M=500) for l in range(5)] for count in (5, 20)}
+
+
+class TestWindow:
+    """solve_states and eigen_table solve on a window of the paper's grid."""
+
+    @pytest.mark.parametrize("count", [5, 20])
+    def test_eigenvalues_match_the_paper_grid(self, paper_pairs, windowed, count):
+        table = eigen_table(range(5), count, M=500)
+        for l in range(5):
+            want = np.array([p.eigenvalue for p in paper_pairs[l][:count]])
+            got = np.array([s.eigenvalue for s in windowed[count][l]])
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+            assert np.array_equal(table[:, l], got)
+
+    @pytest.mark.parametrize("count", [5, 20])
+    def test_window_lies_inside_the_paper_grid(self, windowed, count):
+        for l in range(5):
+            paper = flagship_problem(l, M=500).grid
+            window = windowed[count][l][0].grid
+            assert all(s.grid is window for s in windowed[count][l])
+            assert (window.a, window.alpha) == (paper.a, paper.alpha)
+            assert -paper.M <= -window.M <= window.N <= paper.N
+            offset = paper.M - window.M
+            assert np.array_equal(window.points, paper.points[offset:offset + window.size])
+            if l == 0:  # ln x has no forbidden region near 0
+                assert window.M == paper.M
+
+    def test_largest_flagship_window_is_smaller(self, windowed):
+        assert windowed[5][4][0].grid.size < 2000
+
+    def test_radial_functions_match_the_paper_grid(self, paper_pairs, windowed):
+        # the paper grid's own R moves by up to 2.1e-13 of its peak between
+        # one and two BLAS threads, the rounding floor of these eigenvectors;
+        # cutting the window at 17 decades adds nothing above it
+        xs = np.geomspace(1e-4, 60.0, 400)
+        for l in range(5):
+            paper = flagship_problem(l, M=500).grid
+            for n, state in enumerate(windowed[5][l]):
+                want = evaluate_radial(normalize(paper_pairs[l][n], paper, l, n), xs)
+                got = evaluate_radial(state, xs)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_low_estimate_is_solved_again_on_the_wider_window(self, monkeypatch, paper_pairs):
+        import sinccol.coulomb as coulomb
+
+        solves = []
+        real_solve = coulomb.solve
+        monkeypatch.setattr(coulomb, "solve", lambda *a: solves.append(a) or real_solve(*a))
+        # lambda_0: its window is too short for the fifth state
+        monkeypatch.setattr(coulomb, "_level_estimate", lambda langer, weights, n: 2.3963)
+        states = solve_states(4, 5, M=500)
+        assert len(solves) == 2
+        assert solves[0][0].grid.size < solves[1][0].grid.size
+        want = np.array([p.eigenvalue for p in paper_pairs[4][:5]])
+        got = np.array([s.eigenvalue for s in states])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    def test_grid_window_keeps_the_logical_indices(self):
+        grid = build_grid(1.5, 1.0, D4, 20)
+        window = grid.window(-5, 12)
+        assert (window.M, window.N, window.size) == (5, 12, 18)
+        assert np.array_equal(window.indices, np.arange(-5, 13))
+        assert np.array_equal(window.points, grid.points[15:33])
+        assert np.array_equal(window.phi2, -np.exp(-2.0 * window.indices * grid.a))
+        whole = grid.window(-grid.M, grid.N)
+        assert (whole.M, whole.N) == (grid.M, grid.N)
+        with pytest.raises(ValueError, match="not inside"):
+            grid.window(-21, 0)
+        with pytest.raises(ValueError, match="not inside"):
+            grid.window(5, 4)
