@@ -2,7 +2,7 @@
 
 Output is deterministic: 8 significant digits, '.' decimal separator,
 '\\n' line endings.  Exit status is 0 on success, 2 on usage errors and
-1 on computation errors.
+1 on computation errors or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --x-max: must exceed --x-min, got {args.x_max} <= {args.x_min}")
     try:
         args.run(args)
-    except (EigenSolveError, ValueError, ArithmeticError) as exc:
+    except (EigenSolveError, ValueError, ArithmeticError, OSError) as exc:
         print(f"sinccol: error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
     return 0

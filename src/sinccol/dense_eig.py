@@ -5,12 +5,11 @@ Hessenberg reduction, shifted QR) through scipy.  ``eigh_pencil`` finds
 the lowest pairs of a symmetric-definite pencil from the Cholesky factor
 L of its left matrix: implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) needs only products with the reduced
-operator, two with the explicit inverse L^-1 (dtrmv) each, or for up
-to three pairs two triangular solves, so the K x K matrix is never
-tridiagonalized.  Only for nearly the whole spectrum, which ARPACK
-cannot return, is the reduced matrix formed from the same operator and
-diagonalized densely.  A caller that knows a lower bound sigma on the
-lowest level passes it as ``shift``: the solve then factors
+operator, two triangular solves with L (dtrsv) each, so the K x K
+matrix is never tridiagonalized.  Only for nearly the whole spectrum,
+which ARPACK cannot return, is the reduced matrix formed from the same
+operator and diagonalized densely.  A caller that knows a lower bound
+sigma on the lowest level passes it as ``shift``: the solve then factors
 left - sigma right, which is positive definite exactly when sigma lies
 below every level, and searches mu = 1/(lambda - sigma), whose largest
 values stand farther apart than those of 1/lambda, so Lanczos needs
@@ -118,35 +117,20 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=V, residuals=residuals)
 
 
-# Products with L^-1 (dtrmv) thread in OpenBLAS, solves with L (dtrsv) do not,
-# and the inversion (dtrtri) repays only over enough Lanczos steps.  ms saved by
-# inverting, summed over the windowed flagship pencils l = 0..4 (best of 9, 2 cores):
-#   pairs                           1         2       3         4       5
-#   M = 500, n 709..1772, 3 runs   -15..-18  -1..-8  -10..-37  -2..+6  +2..+3
-#   M = 300 and 200, n 301..1372   -6, -6    +3, +3  +2, +2    +7, +6  +12, +7
-_INVERSE_MIN_COUNT = 4
-
-
 def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` largest mu of right v = mu left v, ascending, from the
-    reduced operator L^-1 right L^-T, left = L L^T factored in place (and L
-    inverted in place for ``count >= _INVERSE_MIN_COUNT``): by Lanczos, or
-    for ``count >= n - 1`` by a dense symmetric eigensolve of its matrix."""
+    reduced operator L^-1 right L^-T, left = L L^T factored in place: by
+    Lanczos, or for ``count >= n - 1`` by a dense symmetric eigensolve of
+    its matrix."""
     n = left.shape[0]
     L, info = lapack.dpotrf(left, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise EigenSolveError("left matrix is not positive definite: the lowest level is not "
                               "above the shift (0 unless one is given); shift the potential up")
-    inverted = count >= _INVERSE_MIN_COUNT
-    if inverted:
-        L, info = lapack.dtrtri(L, lower=1, overwrite_c=1)
-        if info != 0:
-            raise EigenSolveError(f"inversion of the Cholesky factor failed (dtrtri info {info})")
-    vector = blas.dtrmv if inverted else blas.dtrsv
 
     def reduced(y):
-        x = vector(L, y, lower=1, trans=1)
-        return vector(L, right @ x, lower=1, overwrite_x=1)
+        x = blas.dtrsv(L, y, lower=1, trans=1)
+        return blas.dtrsv(L, right @ x, lower=1, overwrite_x=1)
 
     if count >= n - 1:
         reduced_matrix = np.column_stack([reduced(e) for e in np.eye(n)])
@@ -161,7 +145,7 @@ def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarra
             mu, Y = eigsh(operator, k=count, which="LA", v0=np.ones(n), tol=0)
         except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenSolveError(f"Lanczos failed ({type(exc).__name__}): {exc}") from exc
-    return mu, np.array([vector(L, y, lower=1, trans=1) for y in Y.T]).T
+    return mu, np.array([blas.dtrsv(L, y, lower=1, trans=1) for y in Y.T]).T
 
 
 def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, count: int,
@@ -185,13 +169,11 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     eigenvalues mu = 1/lambda only, so a singular or badly scaled ``right``
     costs no accuracy in the low end of the spectrum.  Lanczos (ARPACK
     ``eigsh``, start vector all ones, so that repeated solves are
-    bit-identical) applies the operator by two products with L^-1 (dtrmv,
-    after dtrtri inverts L in place), or for up to three pairs by two
-    solves with L (dtrsv); the eigenvectors are v = L^-T y.  For
-    ``count >= n - 1``, beyond ARPACK's reach, the same operator is
-    applied to the n unit vectors and the resulting n x n matrix is
-    diagonalized densely (``scipy.linalg.eigh``), with the same factor
-    and back-transform.
+    bit-identical) applies the operator by two triangular solves with L
+    (dtrsv); the eigenvectors are v = L^-T y.  For ``count >= n - 1``,
+    beyond ARPACK's reach, the same operator is applied to the n unit
+    vectors and the resulting n x n matrix is diagonalized densely
+    (``scipy.linalg.eigh``), with the same factor and back-transform.
 
     A finite ``shift`` sigma below the lowest level is subtracted first:
     ``left`` becomes left - sigma right in its own storage, L is its
@@ -201,10 +183,9 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     ``left_norm``.  A non-finite shift is a ValueError.
 
     Raises EigenSolveError if ``left`` (less the shift) is not positive
-    definite, if inverting L fails, if Lanczos or the dense eigensolve
-    does not converge, if a requested mu is not positive (lambda
-    infinite) or if any pair misses the residual contract, a non-finite
-    residual included.
+    definite, if Lanczos or the dense eigensolve does not converge, if a
+    requested mu is not positive (lambda infinite) or if any pair misses
+    the residual contract, a non-finite residual included.
     """
     n = left.shape[0]
     _validate_count(count, n)

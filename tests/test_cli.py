@@ -242,3 +242,11 @@ class TestExitCodes:
         assert out == ""
         # the window of the paper's K = 551 grid that holds the five states
         assert "K = 538" in err and "reduce M" in err
+
+    def test_unwritable_output_is_exit_1(self, capsys, tmp_path):
+        # a directory cannot be opened for writing
+        code, out, err = run_cli(capsys, "eigen", "--l", "1", "--count", "1", "--M", "20",
+                                 "--output", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("sinccol: error: ") and str(tmp_path) in err
