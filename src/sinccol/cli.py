@@ -26,7 +26,6 @@ from .dense_eig import EigenSolveError
 
 __all__ = ["main"]
 
-USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 
 

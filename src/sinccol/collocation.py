@@ -30,9 +30,10 @@ and collocation gives the symmetric-definite pencil
     (-d2/a^2 + diag(g)) v = lambda diag(u) v,
 
 whose entries stay near 1/a^2.  ``solve`` takes its lowest pairs and
-returns the nodal values f(x_m) = v_m / sqrt(phi'(x_m)).  It factors the
-shifted left matrix -d2/a^2 + diag(g - sigma u), sigma = max(0, min g/u),
-which is positive definite: the sinc matrix -d2 has its eigenvalues in
+returns the nodal values f(x_m) = v_m / sqrt(phi'(x_m)).  It solves the
+shifted pencil, left matrix -d2/a^2 + diag(g - sigma u) with
+sigma = max(0, min g/u), and adds sigma back to each level.  That left
+matrix is positive definite: the sinc matrix -d2 has its eigenvalues in
 (0, pi^2] (Stenger, 1993) and g - sigma u >= 0.  So sigma lies below the
 lowest level, and Lanczos searches 1/(lambda - sigma), whose low end is
 far less crowded than that of 1/lambda (spectral transformation, Ericsson
@@ -60,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse
-from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import toeplitz
 
 # eig is unused here; perfbench/layers.py wraps this name
 from .dense_eig import _validate_count, eig, eigh_pencil
@@ -146,8 +147,9 @@ def _physical_memory_bytes() -> int:
 @dataclass(frozen=True)
 class _LeftStructure:
     """The pencil's left matrix by its pieces: the symmetric Toeplitz block
-    T[i, j] = column[|i - j|], plus diag(g), and at alpha = 1/2 the border
-    row and column ``border`` = g omega - omega'' with ``corner`` at (K, K).
+    T[i, j] = column[|i - j|], plus diag(g), less the shift diag(sigma u),
+    and at alpha = 1/2 the border row and column ``border`` = g omega - omega''
+    with ``corner`` at (K, K).
 
     ``dense`` fills the n x n matrix the eigensolve factors; the product
     and the infinity norm of the residual contract come from the pieces
@@ -156,34 +158,33 @@ class _LeftStructure:
 
     column: np.ndarray
     g: np.ndarray
+    shift: np.ndarray
     border: np.ndarray | None
     corner: float
 
     @classmethod
-    def of(cls, problem: CollocationProblem) -> _LeftStructure:
+    def of(cls, problem: CollocationProblem, sigma: float) -> _LeftStructure:
         column = -_d2_column(problem.grid.size) / problem.grid.a**2
-        if problem.omega is None:
-            return cls(column, problem.g, None, 0.0)
         u, w, g = problem.weight, problem.omega, problem.g
+        if w is None:
+            return cls(column, g, sigma * u, None, 0.0)
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
-        return cls(column, g, g * w - ddw, float(np.sum(dw * dw + g * w * w)))
+        return cls(column, g, sigma * u, g * w - ddw, float(np.sum(dw * dw + g * w * w)))
 
     def dense(self) -> np.ndarray:
         """The n x n left matrix, Fortran-ordered for LAPACK."""
         K = self.column.size
-        n = K if self.border is None else K + 1
-        left = np.zeros((n, n), order="F")
-        # copied from a strided view of the 2K - 1 distinct entries:
-        # t[K - 1 + d] is entry (i, i + d)
-        t = np.concatenate((self.column[:0:-1], self.column))
-        left[:K, :K] = as_strided(t[K - 1:], shape=(K, K), strides=(-t.itemsize, t.itemsize),
-                                  writeable=False)
-        diag = np.arange(K)
-        left[diag, diag] += self.g
+        left = toeplitz(self.column).T  # T is symmetric; its transpose is Fortran-ordered
         if self.border is not None:
+            block, left = left, np.zeros((K + 1, K + 1), order="F")
+            left[:K, :K] = block
             left[K, :K] = left[:K, K] = self.border
             left[K, K] = self.corner
+        diag = np.arange(K)
+        # g, then the shift: T + (g - sigma u) would round the diagonal differently
+        left[diag, diag] += self.g
+        left[diag, diag] -= self.shift
         return left
 
     def __matmul__(self, V: np.ndarray) -> np.ndarray:
@@ -198,7 +199,7 @@ class _LeftStructure:
         X = V[:K]
         out = np.fft.irfft(np.fft.rfft(circulant)[:, None] * np.fft.rfft(X, n=L, axis=0),
                            n=L, axis=0)[:K]
-        out += self.g[:, None] * X
+        out += (self.g - self.shift)[:, None] * X
         if self.border is None:
             return out
         out += self.border[:, None] * V[K][None, :]
@@ -206,23 +207,25 @@ class _LeftStructure:
 
     def norm_inf(self) -> float:
         """max_i sum_j |left[i, j]|, exactly: with C = cumsum |column|, row
-        i of T + diag(g) sums to |column[0] + g_i| + (C[i] - C[0])
-        + (C[K - 1 - i] - C[0])."""
+        i of T + diag(g - sigma u) sums to |column[0] + g_i - sigma u_i|
+        + (C[i] - C[0]) + (C[K - 1 - i] - C[0])."""
         C = np.cumsum(np.abs(self.column))
-        rows = np.abs(self.column[0] + self.g) + (C - C[0]) + (C[::-1] - C[0])
+        rows = np.abs(self.column[0] + self.g - self.shift) + (C - C[0]) + (C[::-1] - C[0])
         if self.border is None:
             return float(rows.max())
         rows += np.abs(self.border)
         return float(max(rows.max(), np.sum(np.abs(self.border)) + abs(self.corner)))
 
 
-def _pencil_matrices(problem: CollocationProblem) -> tuple[
+def _pencil_matrices(problem: CollocationProblem, sigma: float) -> tuple[
         np.ndarray, scipy.sparse.csr_array, Callable[[np.ndarray], np.ndarray], float]:
-    """The (possibly bordered) pencil: the dense left matrix,
-    Fortran-ordered for LAPACK, the sparse right one, diag(u) or its
-    arrowhead border, and the product V -> left @ V and ||left||_inf of
-    the residual contract, computed from ``_LeftStructure`` without the
-    dense matrix.
+    """The (possibly bordered) pencil shifted by sigma: the dense left
+    matrix less sigma diag(u), Fortran-ordered for LAPACK, the sparse
+    right one, diag(u) or its arrowhead border, unshifted, and the product
+    V -> left @ V and ||left||_inf of the residual contract for the same
+    shifted left, computed from ``_LeftStructure`` without the dense
+    matrix.  Only the unbordered pencil, whose right is diag(u), is
+    shifted by a nonzero sigma (``_safe_shift``).
 
     A left matrix larger than the machine's physical memory is a
     ValueError, raised before anything is allocated.
@@ -234,7 +237,7 @@ def _pencil_matrices(problem: CollocationProblem) -> tuple[
     if need > have:
         raise ValueError(f"the pencil at K = {K} needs {need / 1e9:.3g} GB, but this machine has "
                          f"{have / 1e9:.3g} GB of memory; reduce M")
-    structure = _LeftStructure.of(problem)
+    structure = _LeftStructure.of(problem, sigma)
     # right as (value, row, column) triplets: diag(u), then the border
     diag = np.arange(K)
     triplets = [(problem.weight, diag, diag)]
@@ -266,23 +269,26 @@ def _positive_peak(vec: np.ndarray) -> np.ndarray:
 def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
     """Return the ``count`` lowest eigenpairs, sorted ascending.
 
-    The pairs are those of the symmetric pencil (see module docstring).
-    Coefficient vectors are the nodal values f(x_m), sign-normalized so
-    the largest-magnitude entry is positive.  A left matrix that is not
-    positive definite, which means a non-positive lowest level, is an
-    EigenSolveError, and so is a requested eigenvalue that is not finite.
+    The pairs are those of the symmetric pencil (see module docstring),
+    solved shifted by sigma = ``_safe_shift(problem)``, which is added
+    back to each eigenvalue.  Coefficient vectors are the nodal values
+    f(x_m), sign-normalized so the largest-magnitude entry is positive.
+    A left matrix that is not positive definite, which means a
+    non-positive lowest level, is an EigenSolveError, and so is a
+    requested eigenvalue that is not finite.
     """
     grid = problem.grid
     K = grid.size
     _validate_count(count, K)
-    left, right, left_times, left_norm = _pencil_matrices(problem)
-    decomp = eigh_pencil(left, right, count, left_times, left_norm, shift=_safe_shift(problem))
+    sigma = _safe_shift(problem)
+    left, right, left_times, left_norm = _pencil_matrices(problem, sigma)
+    decomp = eigh_pencil(left, right, count, left_times, left_norm)
     V = decomp.eigenvectors
     nodal = V[:K]
     if problem.omega is not None:
         nodal = nodal + problem.omega[:, None] * V[K][None, :]
     f = nodal / np.sqrt(grid.phi1)[:, None]
-    return [EigenPair(eigenvalue=float(lam), coefficients=_positive_peak(f[:, j]),
+    return [EigenPair(eigenvalue=float(sigma + lam), coefficients=_positive_peak(f[:, j]),
                       residual=float(decomp.residuals[j]))
             for j, lam in enumerate(decomp.eigenvalues)]
 

@@ -132,6 +132,9 @@ def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int):
     """The window of the paper's grid that holds the lowest ``count`` flagship
     pairs, and those pairs (module docstring)."""
     grid = flagship_problem(l, beta=beta, d=d, M=M).grid
+    if isinstance(count, (int, np.integer)) and count > grid.size:
+        raise ValueError(f"state n = {count - 1} needs more than the {grid.size} sinc points of "
+                         f"the grid at l = {l}, M = {M}; increase M")
     _validate_count(count, grid.size)
     # formed directly: adding 1/(4x^2) to the l = 0 potential cancels ln x
     langer = np.square(l / grid.points) + np.log(grid.points)
@@ -197,16 +200,24 @@ def state_overlap(a: RadialSolution, b: RadialSolution) -> float:
 
     This is the inner product in which the continuous operator is
     self-adjoint, so distinct converged states of the same l are
-    orthogonal up to discretization error.  Both states must share a
-    grid.  The value is normalized by the f-norms of the two states.
+    orthogonal up to discretization error.  The states may lie on
+    different windows of one grid: every window keeps the grid's step a
+    and logical indices, so an equal a means equal sinc points at equal
+    indices.  The sum runs over the indices both windows hold, and the
+    value is normalized by the f-norm of each state on its own window.
     """
     ga, gb = a.grid, b.grid
-    if ga.size != gb.size or ga.a != gb.a or ga.M != gb.M:
-        raise ValueError("state_overlap requires states on the same grid")
-    w = ga.a / ga.phi1
-    inner = float(np.sum(w * a.coefficients * b.coefficients))
-    na = math.sqrt(float(np.sum(w * np.square(a.coefficients))))
-    nb = math.sqrt(float(np.sum(w * np.square(b.coefficients))))
+    if ga.a != gb.a:
+        raise ValueError(f"state_overlap requires states on windows of one grid, got the "
+                         f"steps a = {ga.a!r} and {gb.a!r}")
+    # the shared logical indices lo..lo + count - 1 at their offsets in each window
+    lo = max(-ga.M, -gb.M)
+    count = max(min(ga.N, gb.N) - lo + 1, 0)
+    sa, sb = slice(lo + ga.M, lo + ga.M + count), slice(lo + gb.M, lo + gb.M + count)
+    wa, wb = ga.a / ga.phi1, gb.a / gb.phi1
+    inner = float(np.sum(wa[sa] * a.coefficients[sa] * b.coefficients[sb]))
+    na = math.sqrt(float(np.sum(wa * np.square(a.coefficients))))
+    nb = math.sqrt(float(np.sum(wb * np.square(b.coefficients))))
     return inner / (na * nb)
 
 

@@ -8,19 +8,14 @@ L of its left matrix: implicitly restarted Lanczos (ARPACK, through
 operator, two triangular solves with L (dtrsv) each, so the K x K
 matrix is never tridiagonalized.  Only for nearly the whole spectrum,
 which ARPACK cannot return, is the reduced matrix formed from the same
-operator and diagonalized densely.  A caller that knows a lower bound
-sigma on the lowest level passes it as ``shift``: the solve then factors
-left - sigma right, which is positive definite exactly when sigma lies
-below every level, and searches mu = 1/(lambda - sigma), whose largest
-values stand farther apart than those of 1/lambda, so Lanczos needs
-fewer steps (Ericsson & Ruhe, Math. Comp. 35 (1980) 1251).
+operator and diagonalized densely.
 
 The caller passes the dense left matrix, which the solve overwrites,
-together with the product V -> left @ V and the norm ||left||_inf of the
-unshifted left, which it computes from the matrix's structure (for the
-sinc pencil a Toeplitz product by FFT), so the residual needs no second
-dense matrix.  One function verifies the per-pair residual contract for
-both: every returned pair must satisfy
+together with the product V -> left @ V and the norm ||left||_inf, which
+it computes from the matrix's structure (for the sinc pencil a Toeplitz
+product by FFT), so the residual needs no second dense matrix.  One
+function verifies the per-pair residual contract for both: every
+returned pair must satisfy
 
     ||A v - lambda v||_inf <= 1e-8 * ||A||_inf * ||v||_inf
 
@@ -38,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -126,7 +120,7 @@ def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarra
     L, info = lapack.dpotrf(left, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise EigenSolveError("left matrix is not positive definite: the lowest level is not "
-                              "above the shift (0 unless one is given); shift the potential up")
+                              "positive")
 
     def reduced(y):
         x = blas.dtrsv(L, y, lower=1, trans=1)
@@ -148,21 +142,20 @@ def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarra
     return mu, np.array([blas.dtrsv(L, y, lower=1, trans=1) for y in Y.T]).T
 
 
-def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, count: int,
-                left_times: Callable[[np.ndarray], np.ndarray], left_norm: float, *,
-                shift: float = 0.0) -> EigenDecomposition:
+def eigh_pencil(left: np.ndarray, right, count: int,
+                left_times: Callable[[np.ndarray], np.ndarray],
+                left_norm: float) -> EigenDecomposition:
     """Lowest ``count`` eigenpairs of left v = lambda right v, ascending.
 
-    ``left`` is a dense n x n symmetric array, positive definite less
-    ``shift`` times right, which the solve overwrites (a Fortran-ordered
-    one avoids a copy); ``right`` is a symmetric positive semidefinite
-    n x n array or scipy sparse matrix, left unchanged.  The residual
-    contract takes its product and norm from ``left_times(V)``, the
-    product left @ V for an n x k array V, and ``left_norm``, the infinity
-    norm of left, so the dense left is built once; a structured caller
-    computes them from the matrix's pieces, which also checks the pairs
-    against a second construction of the same matrix.  ``count`` must be
-    an integer in [1, n].
+    ``left`` is a dense n x n symmetric positive definite array, which
+    the solve overwrites (a Fortran-ordered one avoids a copy); ``right``
+    is a symmetric positive semidefinite n x n array or scipy sparse
+    array, left unchanged.  The residual contract takes its product and
+    norm from ``left_times(V)``, the product left @ V for an n x k array
+    V, and ``left_norm``, the infinity norm of left, so the dense left is
+    built once; a structured caller computes them from the matrix's
+    pieces, which also checks the pairs against a second construction of
+    the same matrix.  ``count`` must be an integer in [1, n].
 
     The roles are swapped: with the Cholesky factor L of ``left``, the
     bounded operator L^-1 right L^-T is searched for its ``count`` largest
@@ -175,30 +168,18 @@ def eigh_pencil(left: np.ndarray, right: np.ndarray | scipy.sparse.sparray, coun
     vectors and the resulting n x n matrix is diagonalized densely
     (``scipy.linalg.eigh``), with the same factor and back-transform.
 
-    A finite ``shift`` sigma below the lowest level is subtracted first:
-    ``left`` becomes left - sigma right in its own storage, L is its
-    factor, mu = 1/(lambda - sigma), lambda = sigma + 1/mu, and the
-    eigenvectors are scaled to v^T (left - sigma right) v = 1.  The
-    residual contract still takes the unshifted ``left_times`` and
-    ``left_norm``.  A non-finite shift is a ValueError.
-
-    Raises EigenSolveError if ``left`` (less the shift) is not positive
-    definite, if Lanczos or the dense eigensolve does not converge, if a
-    requested mu is not positive (lambda infinite) or if any pair misses
-    the residual contract, a non-finite residual included.
+    Raises EigenSolveError if ``left`` is not positive definite, if
+    Lanczos or the dense eigensolve does not converge, if a requested mu
+    is not positive (lambda infinite) or if any pair misses the residual
+    contract, a non-finite residual included.
     """
     n = left.shape[0]
     _validate_count(count, n)
-    if not np.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift!r}")
-    if shift:
-        right_entries = scipy.sparse.coo_array(right)
-        np.subtract.at(left, (right_entries.row, right_entries.col), shift * right_entries.data)
     mu, V = _largest(left, right, count)
     if not mu[0] > 0.0:
         raise EigenSolveError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
                               "eigenvalues are finite")
-    lam = shift + 1.0 / mu[::-1]
+    lam = 1.0 / mu[::-1]
     V = V[:, ::-1]
     # right may be sparse
     scale = left_norm + np.abs(lam) * abs(right).sum(axis=1).max()

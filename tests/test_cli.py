@@ -233,6 +233,21 @@ class TestExitCodes:
         assert out == ""
         assert "not positive definite" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["wavefunction", "--l", "0", "--n", "200", "--M", "100"],
+         "state n = 200 needs more than the 151 sinc points of the grid at l = 0, M = 100"),
+        (["converge", "--l", "0", "--n", "200", "--M", "25,50"],
+         "state n = 200 needs more than the 39 sinc points of the grid at l = 0, M = 25"),
+        (["eigen", "--l", "2", "--count", "107", "--M", "30"],
+         "state n = 106 needs more than the 106 sinc points of the grid at l = 2, M = 30"),
+    ], ids=["wavefunction", "converge", "eigen"])
+    def test_state_beyond_the_grid_is_exit_1(self, capsys, argv, message):
+        # the message names the state the user asked for, not a count
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"sinccol: error: {message}; increase M\n"
+
     def test_pencil_larger_than_memory_is_exit_1(self, capsys, monkeypatch):
         import sinccol.collocation as collocation
 

@@ -146,7 +146,7 @@ class TestSolve:
                                                                       monkeypatch):
         import sinccol.collocation as collocation
 
-        def no_build(problem):
+        def no_build(problem, sigma):
             raise AssertionError("the pencil was built")
 
         monkeypatch.setattr(collocation, "_pencil_matrices", no_build)
@@ -180,9 +180,9 @@ class TestSolve:
         calls = []
         build = collocation._pencil_matrices
 
-        def counted(problem):
+        def counted(problem, sigma):
             calls.append(problem)
-            return build(problem)
+            return build(problem, sigma)
 
         monkeypatch.setattr(collocation, "_pencil_matrices", counted)
         pairs = solve(flagship_problem(0, M=25), 5)
@@ -265,17 +265,19 @@ class TestLeftStructure:
     def test_product_and_norm_match_the_dense_matrix(self, l, M):
         from scipy.linalg import lapack
 
-        from sinccol.collocation import _pencil_matrices
+        from sinccol.collocation import _pencil_matrices, _safe_shift
 
         problem = flagship_problem(l, M=M)
-        left, _, times, norm = _pencil_matrices(problem)
-        n = left.shape[0]
-        # l = 0 is bordered with the boundary function
-        assert n == problem.grid.size + (l == 0)
-        V = np.random.default_rng(l * 1000 + M).standard_normal((n, 5))
-        dense = left @ V
-        assert np.max(np.abs(times(V) - dense)) <= 1e-14 * np.max(np.abs(dense))
-        assert norm == pytest.approx(lapack.dlange("I", left), rel=1e-14, abs=0.0)
+        # the unshifted pencil, and the shifted one that solve factors
+        for sigma in (0.0, _safe_shift(problem)):
+            left, _, times, norm = _pencil_matrices(problem, sigma)
+            n = left.shape[0]
+            # l = 0 is bordered with the boundary function
+            assert n == problem.grid.size + (l == 0)
+            V = np.random.default_rng(l * 1000 + M).standard_normal((n, 5))
+            dense = left @ V
+            assert np.max(np.abs(times(V) - dense)) <= 1e-14 * np.max(np.abs(dense))
+            assert norm == pytest.approx(lapack.dlange("I", left), rel=1e-14, abs=0.0)
 
 
 class TestSafeShift:
@@ -303,8 +305,23 @@ class TestSafeShift:
         sigma = _safe_shift(problem)
         assert sigma > 0.0
         assert np.all(problem.g - sigma * problem.weight >= 0.0)
-        left, right, times, norm = _pencil_matrices(problem)
+        left, right, times, norm = _pencil_matrices(problem, 0.0)
         assert sigma <= eigh_pencil(left, right, 1, times, norm).eigenvalues[0]
+
+    @pytest.mark.parametrize("l", [1, 4])
+    def test_solve_adds_the_shift_to_the_shifted_pencil(self, l):
+        from sinccol import eigh_pencil
+        from sinccol.collocation import _pencil_matrices, _safe_shift
+
+        problem = flagship_problem(l, M=100)
+        sigma = _safe_shift(problem)
+        left, right, times, norm = _pencil_matrices(problem, sigma)
+        plain = _pencil_matrices(problem, 0.0)[0]
+        diag = np.arange(problem.grid.size)
+        plain[diag, diag] -= sigma * problem.weight
+        assert np.array_equal(left, plain)
+        want = sigma + eigh_pencil(left, right, 5, times, norm).eigenvalues
+        assert np.array_equal([p.eigenvalue for p in solve(problem, 5)], want)
 
     def test_bordered_pencil_is_not_shifted(self):
         from sinccol.collocation import _safe_shift
@@ -334,7 +351,7 @@ class TestSafeShift:
         problem = flagship_problem(4, M=100)
         solve(problem, 5)
         shifted, steps[:] = len(steps), []
-        left, right, times, norm = _pencil_matrices(problem)
+        left, right, times, norm = _pencil_matrices(problem, 0.0)
         dense_eig.eigh_pencil(left, right, 5, times, norm)
         # 47 against 87 operator applications when written
         assert shifted <= 60 < len(steps)

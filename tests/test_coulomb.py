@@ -111,8 +111,18 @@ class TestStates:
 
     def test_overlap_requires_shared_grid(self, states):
         other = solve_states(1, 1, M=100)[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="windows of one grid"):
             state_overlap(states[0], other)
+
+    def test_overlap_spans_two_windows_of_one_grid(self):
+        # one state and five states of l = 4 at M = 200 live on different windows
+        (single,), five = solve_states(4, 1, M=200), solve_states(4, 5, M=200)
+        assert (single.grid.M, single.grid.N) != (five[0].grid.M, five[0].grid.N)
+        for first, second in ((single, five[0]), (five[0], single)):
+            assert state_overlap(first, second) == pytest.approx(1.0, abs=1e-14)
+        for other in five[1:]:
+            assert abs(state_overlap(single, other)) <= 1e-13
+            assert abs(state_overlap(other, single)) <= 1e-13
 
 
 class TestNormalize:

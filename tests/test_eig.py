@@ -204,7 +204,7 @@ class TestPencil:
         from sinccol.collocation import _pencil_matrices
 
         problem = flagship_problem(l, M=100)
-        left, right, times, norm = _pencil_matrices(problem)
+        left, right, times, norm = _pencil_matrices(problem, 0.0)
         assert scipy.sparse.issparse(right)
         K = problem.grid.size
         # l = 0 is bordered: right is diag(u) plus one border row and column
@@ -226,7 +226,7 @@ class TestPencil:
         from sinccol import flagship_problem
         from sinccol.collocation import _pencil_matrices
 
-        return _pencil_matrices(flagship_problem(l, M=M))
+        return _pencil_matrices(flagship_problem(l, M=M), 0.0)
 
     def test_repeated_flagship_solves_are_bit_identical(self):
         # n = 1101, large enough for OpenBLAS to thread the Cholesky factorization
@@ -291,6 +291,7 @@ class TestPencil:
         left, right = self.random_pencil(n, 6)
         full = scipy.linalg.eigh(left, right, eigvals_only=True)
         shift = 0.9 * full[0] if safe_shift else 0.0
+        left = left - shift * right
         factored, solved = [], []
         dpotrf, eigh = dense_eig.lapack.dpotrf, dense_eig.scipy.linalg.eigh
 
@@ -306,10 +307,10 @@ class TestPencil:
         monkeypatch.setattr(dense_eig.lapack, "dpotrf", counting_dpotrf)
         monkeypatch.setattr(dense_eig.scipy.linalg, "eigh", one_matrix_eigh)
         norm = np.abs(left).sum(1).max()
-        dec = eigh_pencil(left.copy(), right, count, left.__matmul__, norm, shift=shift)
+        dec = eigh_pencil(left.copy(), right, count, left.__matmul__, norm)
         assert factored == [(n, n)]
         assert solved == ([(n, n)] if count >= n - 1 else [])
-        assert np.allclose(dec.eigenvalues, full[:count], rtol=1e-10, atol=0.0)
+        assert np.allclose(shift + dec.eigenvalues, full[:count], rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("M", [1, 2, 3])
     @pytest.mark.parametrize("l", [0, 1, 4])
@@ -324,7 +325,7 @@ class TestPencil:
             raise AssertionError("Lanczos called for count >= n - 1")
 
         problem = flagship_problem(l, M=M)
-        left, right, _, _ = _pencil_matrices(problem)
+        left, right, _, _ = _pencil_matrices(problem, 0.0)
         n = left.shape[0]
         mu = scipy.linalg.eigh(right.toarray(), left, eigvals_only=True)
         reference = np.sort(1.0 / mu[mu > 0.0])
@@ -371,7 +372,7 @@ class TestPencil:
         from sinccol import flagship_problem
         from sinccol.collocation import _pencil_matrices
 
-        left, right, times, norm = _pencil_matrices(flagship_problem(l, M=25))
+        left, right, times, norm = _pencil_matrices(flagship_problem(l, M=25), 0.0)
 
         def perturbed(V):
             product = times(V)
@@ -390,14 +391,16 @@ class TestPencil:
     @pytest.mark.parametrize("l", [1, 4])
     def test_shifted_pencil_matches_the_unshifted_one(self, l, count):
         from sinccol import flagship_problem
-        from sinccol.collocation import _safe_shift
+        from sinccol.collocation import _pencil_matrices, _safe_shift
 
-        left, right, times, norm = self.flagship_pencil(l, 100)
-        shift = _safe_shift(flagship_problem(l, M=100))
+        problem = flagship_problem(l, M=100)
+        shift = _safe_shift(problem)
         assert shift > 0.0
-        plain = eigh_pencil(left.copy(order="F"), right, count, times, norm)
-        shifted = eigh_pencil(left, right, count, times, norm, shift=shift)
-        assert np.allclose(shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
+        left, right, times, norm = _pencil_matrices(problem, 0.0)
+        plain = eigh_pencil(left, right, count, times, norm)
+        left, right, times, norm = _pencil_matrices(problem, shift)
+        shifted = eigh_pencil(left, right, count, times, norm)
+        assert np.allclose(shift + shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
         assert np.all(shifted.residuals <= RESIDUAL_TOL)
         assert np.allclose(self.peak_normalized(shifted.eigenvectors),
                            self.peak_normalized(plain.eigenvectors), rtol=0.0, atol=1e-10)
@@ -407,30 +410,15 @@ class TestPencil:
         # count 7 of n = 8 takes the dense solve of the same shifted, factored operator
         left, right = self.random_pencil(8, 9)
         plain = self.solve(left, right, count)
-        norm = np.abs(left).sum(1).max()
         shift = 0.9 * plain.eigenvalues[0]
-        shifted = eigh_pencil(left.copy(), right, count, left.__matmul__, norm, shift=shift)
-        assert np.allclose(shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
+        shifted = self.solve(left - shift * right, right, count)
+        assert np.allclose(shift + shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
         assert np.allclose(self.peak_normalized(shifted.eigenvectors),
                            self.peak_normalized(plain.eigenvectors), rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("count", [5, 7])
     def test_shift_above_the_lowest_level_is_reported(self, count):
-        import scipy.sparse
-
         left, right = self.random_pencil(8, 9)
         lowest = self.solve(left, right, 1).eigenvalues[0]
-        norm = np.abs(left).sum(1).max()
-        for right_form in (right, scipy.sparse.csr_array(right)):
-            with pytest.raises(EigenSolveError, match="not positive definite"):
-                eigh_pencil(left.copy(), right_form, count, left.__matmul__, norm,
-                            shift=lowest + 0.01)
-
-    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
-    def test_non_finite_shift_is_refused_before_the_factorization(self, shift):
-        left, right = self.random_pencil(5, 1)
-        left = np.asfortranarray(left)
-        saved = left.copy()
-        with pytest.raises(ValueError, match="shift must be finite"):
-            eigh_pencil(left, right, 2, left.__matmul__, 1.0, shift=shift)
-        assert np.array_equal(left, saved)
+        with pytest.raises(EigenSolveError, match="not positive definite"):
+            self.solve(left - (lowest + 0.01) * right, right, count)
