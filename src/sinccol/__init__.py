@@ -18,7 +18,7 @@ from .coulomb import (
     solve_states,
     state_overlap,
 )
-from .dense_eig import RESIDUAL_TOL, EigenDecomposition, EigenSolveError, eigh_pencil
+from .dense_eig import RESIDUAL_TOL, EigenDecomposition, EigenSolveError, eigh_pencil, ritz_pencil
 from .sinc import (
     SincGrid,
     build_grid,
@@ -55,6 +55,7 @@ __all__ = [
     "normalize",
     "quadrature",
     "reconstruct",
+    "ritz_pencil",
     "sinc_basis",
     "solve",
     "solve_states",

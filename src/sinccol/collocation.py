@@ -51,6 +51,24 @@ function is left out: g tends to l^2 at the left end and the integral of
 g omega^2 diverges.  The bordered pencil is not shifted (sigma = 0): there
 g/u tends to ln x + 1/2, unbounded below, and the border is no part of
 the Toeplitz block.
+
+The paper's M sets a step far finer than the states need: the flagship
+levels converge like exp(-8.5/a) and reach roundoff by a = 0.2, while
+M = 500 gives a = 0.047 at l = 4.  Halving a keeps every other sinc
+point, so the grids nest, and ``solve`` is a two-grid eigenvalue scheme
+(Xu & Zhou, Math. Comp. 70 (2001) 17).  With stride =
+max(1, floor(_COARSE_STEP / a)) > 1 it solves the pencil of the nested
+grid of step stride*a (``SincGrid.nested``) as above, lifts the coarse
+vectors v, functions of z, onto the given grid's points by sinc
+interpolation (the border coefficient is the same on both grids), and
+finishes by Rayleigh-Ritz on the given pencil from its O(K log K)
+products, so the given grid's dense matrix is never built.  It solves the
+given pencil directly instead at a stride of 1 and on two exits: a
+coarse vector that has not decayed to _DECAYED of its peak at both ends
+(a state the grid's end truncates), and Ritz pairs that miss the
+residual contract or whose residual is above _RITZ_RESIDUAL.  The
+memory check guards the dense matrix that is built: the nested grid's
+on the two-grid path, the given grid's on the direct one.
 """
 
 from __future__ import annotations
@@ -64,8 +82,22 @@ import scipy.sparse
 from scipy.linalg import toeplitz
 
 # eig is unused here; perfbench/layers.py wraps this name
-from .dense_eig import _validate_count, eig, eigh_pencil
+from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, eig, eigh_pencil,
+                        ritz_pencil)
 from .sinc import SincGrid, _d2_column, _evaluate_on_points, build_deltas, interpolate
+
+# The two-grid solve eigensolves on the nested grid of step stride*a <= _COARSE_STEP.
+# The flagship's levels converge like exp(-8.5/a) in the step, to roundoff by
+# a = 0.2, so a finer step than that buys no digit; not a user setting.
+_COARSE_STEP = 0.2
+# A coarse vector holds its state when both its end nodes are at most this
+# fraction of its peak: the state has decayed inside the grid.
+_DECAYED = 1e-12
+# Ritz pairs stand in for the direct ones only at a roundoff-level residual:
+# direct pairs reach about 1e-16 and Ritz pairs from a resolving coarse basis
+# 4e-16 to 2e-14, while the error in R runs a few times the residual (l = 0
+# at M = 1000, a = 0.099: 5.6e-12, and 2e-11 of the peak in R).
+_RITZ_RESIDUAL = 1e-13
 
 __all__ = [
     "CollocationProblem",
@@ -147,16 +179,18 @@ def _physical_memory_bytes() -> int:
 @dataclass(frozen=True)
 class _LeftStructure:
     """The pencil's left matrix by its pieces: the symmetric Toeplitz block
-    T[i, j] = column[|i - j|], plus diag(g), less the shift diag(sigma u),
-    and at alpha = 1/2 the border row and column ``border`` = g omega - omega''
-    with ``corner`` at (K, K).
+    T[i, j] = column[|i - j|] = -d2/a^2, plus diag(g), less the shift
+    diag(sigma u), and at alpha = 1/2 the border row and column
+    ``border`` = g omega - omega'' with ``corner`` at (K, K).
 
     ``dense`` fills the n x n matrix the eigensolve factors; the product
-    and the infinity norm of the residual contract come from the pieces
-    alone, in O(K log K) per column and O(K).
+    and the infinity norm of the residual contract, and the Rayleigh-Ritz
+    projection ``form``, come from the pieces alone, in O(K log K) per
+    column and O(K).
     """
 
     column: np.ndarray
+    a: float
     g: np.ndarray
     shift: np.ndarray
     border: np.ndarray | None
@@ -164,13 +198,14 @@ class _LeftStructure:
 
     @classmethod
     def of(cls, problem: CollocationProblem, sigma: float) -> _LeftStructure:
-        column = -_d2_column(problem.grid.size) / problem.grid.a**2
+        a = problem.grid.a
+        column = -_d2_column(problem.grid.size) / a**2
         u, w, g = problem.weight, problem.omega, problem.g
         if w is None:
-            return cls(column, g, sigma * u, None, 0.0)
+            return cls(column, a, g, sigma * u, None, 0.0)
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
-        return cls(column, g, sigma * u, g * w - ddw, float(np.sum(dw * dw + g * w * w)))
+        return cls(column, a, g, sigma * u, g * w - ddw, float(np.sum(dw * dw + g * w * w)))
 
     def dense(self) -> np.ndarray:
         """The n x n left matrix, Fortran-ordered for LAPACK."""
@@ -216,29 +251,39 @@ class _LeftStructure:
         rows += np.abs(self.border)
         return float(max(rows.max(), np.sum(np.abs(self.border)) + abs(self.corner)))
 
+    def form(self, X: np.ndarray) -> np.ndarray:
+        """X^T left X for an n x k array X whose Toeplitz rows are smooth, to
+        rounding in the size of the result rather than of ||left|| ||X||^2.
 
-def _pencil_matrices(problem: CollocationProblem, sigma: float) -> tuple[
-        np.ndarray, scipy.sparse.csr_array, Callable[[np.ndarray], np.ndarray], float]:
-    """The (possibly bordered) pencil shifted by sigma: the dense left
-    matrix less sigma diag(u), Fortran-ordered for LAPACK, the sparse
-    right one, diag(u) or its arrowhead border, unshifted, and the product
-    V -> left @ V and ||left||_inf of the residual contract for the same
-    shifted left, computed from ``_LeftStructure`` without the dense
-    matrix.  Only the unbordered pencil, whose right is diag(u), is
-    shifted by a nonzero sigma (``_safe_shift``).
+        T is the sinc -d2/a^2, whose symbol is theta^2/a^2 on [-pi, pi], so
+        x^T T y = (1/2 pi a^2) int theta^2 conj(x(theta)) y(theta) dtheta with
+        x(theta) = sum_m x_m e^(-i m theta).  The trapezoid rule on the real
+        FFT of length L >= 2K - 1 sums it exactly up to the kink of the
+        periodic theta^2 at pi, weighted by |x(pi)|^2, which is nil for a
+        function sampled finer than it varies.  Forming T x instead costs the
+        rounding of entries of size 1/a^2, and would mix neighbouring Ritz
+        vectors by eps ||left|| / gap: 2e-12 of the peak in R at a = 0.033.
+        """
+        K = self.column.size
+        L = 1 << (2 * K - 2).bit_length()
+        spectra = np.fft.rfft(X[:K], n=L, axis=0)
+        theta = np.arange(L // 2 + 1) * (2.0 * np.pi / L)
+        weights = np.full(theta.size, 2.0)  # each theta stands for +-theta ...
+        weights[[0, -1]] = 1.0  # ... but 0 and pi
+        symbol = weights * np.square(theta) / (L * self.a**2)
+        out = (spectra.conj().T @ (symbol[:, None] * spectra)).real
+        out += X[:K].T @ ((self.g - self.shift)[:, None] * X[:K])
+        if self.border is None:
+            return out
+        cross = np.outer(X[K], self.border @ X[:K])
+        return out + cross + cross.T + self.corner * np.outer(X[K], X[K])
 
-    A left matrix larger than the machine's physical memory is a
-    ValueError, raised before anything is allocated.
-    """
-    grid = problem.grid
-    K = grid.size
+
+def _right(problem: CollocationProblem) -> scipy.sparse.csr_array:
+    """The pencil's sparse right matrix: diag(u), or its arrowhead border."""
+    K = problem.grid.size
     n = K if problem.omega is None else K + 1
-    need, have = 8 * n * n, _physical_memory_bytes()
-    if need > have:
-        raise ValueError(f"the pencil at K = {K} needs {need / 1e9:.3g} GB, but this machine has "
-                         f"{have / 1e9:.3g} GB of memory; reduce M")
-    structure = _LeftStructure.of(problem, sigma)
-    # right as (value, row, column) triplets: diag(u), then the border
+    # (value, row, column) triplets: diag(u), then the border
     diag = np.arange(K)
     triplets = [(problem.weight, diag, diag)]
     if problem.omega is not None:
@@ -247,8 +292,33 @@ def _pencil_matrices(problem: CollocationProblem, sigma: float) -> tuple[
         triplets += [(border, diag, edge[:K]),
                      (np.append(border, np.sum(border * problem.omega)), edge, np.arange(K + 1))]
     values, rows, columns = map(np.concatenate, zip(*triplets))
-    right = scipy.sparse.csr_array((values, (rows, columns)), shape=(n, n))
-    return structure.dense(), right, structure.__matmul__, structure.norm_inf()
+    return scipy.sparse.csr_array((values, (rows, columns)), shape=(n, n))
+
+
+def _pencil_matrices(problem: CollocationProblem, sigma: float) -> tuple[
+        np.ndarray, scipy.sparse.csr_array, Callable[[np.ndarray], np.ndarray], float]:
+    """The (possibly bordered) pencil shifted by sigma: the dense left
+    matrix less sigma diag(u), Fortran-ordered for LAPACK, the sparse
+    right one, unshifted, and the product V -> left @ V and ||left||_inf
+    of the residual contract for the same shifted left, computed from
+    ``_LeftStructure`` without the dense matrix.  Only the unbordered
+    pencil, whose right is diag(u), is shifted by a nonzero sigma
+    (``_safe_shift``).
+
+    A left matrix larger than the machine's physical memory is a
+    ValueError, raised before anything is allocated.  This is the only
+    place a dense matrix of the pencil is built, so the check guards
+    whichever pencil is factored: the nested one of the two-grid solve,
+    or the given one when it is solved directly.
+    """
+    K = problem.grid.size
+    n = K if problem.omega is None else K + 1
+    need, have = 8 * n * n, _physical_memory_bytes()
+    if need > have:
+        raise ValueError(f"the dense pencil at K = {K} needs {need / 1e9:.3g} GB, but this "
+                         f"machine has {have / 1e9:.3g} GB of memory; reduce M")
+    structure = _LeftStructure.of(problem, sigma)
+    return structure.dense(), _right(problem), structure.__matmul__, structure.norm_inf()
 
 
 def _safe_shift(problem: CollocationProblem) -> float:
@@ -266,23 +336,68 @@ def _positive_peak(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _direct(problem: CollocationProblem, count: int, sigma: float) -> EigenDecomposition:
+    """The lowest ``count`` pairs of the pencil shifted by sigma, from its
+    dense left matrix."""
+    left, right, left_times, left_norm = _pencil_matrices(problem, sigma)
+    return eigh_pencil(left, right, count, left_times, left_norm)
+
+
+def _two_grid(problem: CollocationProblem, count: int, sigma: float,
+              stride: int) -> EigenDecomposition | None:
+    """The lowest ``count`` pairs of the pencil shifted by sigma, by
+    Rayleigh-Ritz on the coarse pairs of the nested grid of step stride*a
+    (module docstring), or None where that basis does not hold them: a
+    coarse solve that fails, a coarse vector that has not decayed at both
+    ends, or Ritz pairs that miss the residual contract or have a residual
+    above _RITZ_RESIDUAL."""
+    grid = problem.grid
+    if grid.M // stride + grid.N // stride + 1 < count:  # the nested grid's size
+        return None
+    coarse = assemble(grid.nested(stride), problem.potential)
+    Kc = coarse.grid.size
+    try:
+        V = _direct(coarse, count, _safe_shift(coarse)).eigenvectors
+    except EigenSolveError:
+        return None
+    peaks = np.max(np.abs(V[:Kc]), axis=0)
+    if np.any(np.maximum(np.abs(V[0]), np.abs(V[Kc - 1])) > _DECAYED * peaks):
+        return None
+    # v is a function of z, so the coarse sinc series gives it at the fine
+    # nodes; the border coefficient is the same on both grids
+    X = np.array([interpolate(coarse.grid, v, grid.points) for v in V[:Kc].T]).T
+    if coarse.omega is not None:
+        X = np.vstack((X, V[Kc]))
+    structure = _LeftStructure.of(problem, sigma)
+    try:
+        ritz = ritz_pencil(X, structure.__matmul__, _right(problem), structure.norm_inf(),
+                           structure.form)
+    except EigenSolveError:
+        return None
+    return ritz if np.max(ritz.residuals) <= _RITZ_RESIDUAL else None
+
+
 def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
     """Return the ``count`` lowest eigenpairs, sorted ascending.
 
     The pairs are those of the symmetric pencil (see module docstring),
     solved shifted by sigma = ``_safe_shift(problem)``, which is added
-    back to each eigenvalue.  Coefficient vectors are the nodal values
-    f(x_m), sign-normalized so the largest-magnitude entry is positive.
-    A left matrix that is not positive definite, which means a
-    non-positive lowest level, is an EigenSolveError, and so is a
-    requested eigenvalue that is not finite.
+    back to each eigenvalue: on a step a below _COARSE_STEP / 2 by the
+    two-grid solve, and otherwise, or where that does not hold the pairs,
+    directly.  Coefficient vectors are the nodal values f(x_m),
+    sign-normalized so the largest-magnitude entry is positive.  A left
+    matrix that is not positive definite, which means a non-positive
+    lowest level, is an EigenSolveError, and so is a requested eigenvalue
+    that is not finite.
     """
     grid = problem.grid
     K = grid.size
     _validate_count(count, K)
     sigma = _safe_shift(problem)
-    left, right, left_times, left_norm = _pencil_matrices(problem, sigma)
-    decomp = eigh_pencil(left, right, count, left_times, left_norm)
+    stride = max(1, int(_COARSE_STEP / grid.a))
+    decomp = _two_grid(problem, count, sigma, stride) if stride > 1 else None
+    if decomp is None:
+        decomp = _direct(problem, count, sigma)
     V = decomp.eigenvectors
     nodal = V[:K]
     if problem.omega is not None:

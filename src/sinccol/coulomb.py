@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .collocation import CollocationProblem, EigenPair, assemble, solve
-from .dense_eig import EigenSolveError, _validate_count
+from .dense_eig import EigenSolveError, InfiniteLevelError, _validate_count
 from .sinc import SincGrid, build_grid, interpolate
 
 __all__ = [
@@ -142,7 +142,11 @@ def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int):
     lo, hi = _window_ends(langer, weights, _level_estimate(langer, weights, count - 1))
     for _ in range(2):
         window = grid.window(lo - grid.M, hi - grid.M)
-        pairs = solve(assemble(window, log_coulomb_potential(l)), count)
+        try:
+            pairs = solve(assemble(window, log_coulomb_potential(l)), count)
+        except InfiniteLevelError as exc:
+            raise InfiniteLevelError(f"state n = {count - 1} has no finite level on the grid at "
+                                     f"l = {l}, M = {M}; increase M") from exc
         held = _window_ends(langer, weights, pairs[-1].eigenvalue)
         if lo <= held[0] and held[1] <= hi:
             break

@@ -8,14 +8,17 @@ L of its left matrix: implicitly restarted Lanczos (ARPACK, through
 operator, two triangular solves with L (dtrsv) each, so the K x K
 matrix is never tridiagonalized.  Only for nearly the whole spectrum,
 which ARPACK cannot return, is the reduced matrix formed from the same
-operator and diagonalized densely.
+operator and diagonalized densely.  ``ritz_pencil`` needs no dense matrix
+at all: it projects the pencil onto a given basis, such as the lifted
+eigenvectors of a coarser grid's pencil, and returns the Ritz pairs.
 
 The caller passes the dense left matrix, which the solve overwrites,
 together with the product V -> left @ V and the norm ||left||_inf, which
 it computes from the matrix's structure (for the sinc pencil a Toeplitz
 product by FFT), so the residual needs no second dense matrix.  One
-function verifies the per-pair residual contract for both: every
-returned pair must satisfy
+function verifies the per-pair residual contract for all three solvers,
+``ritz_pencil`` included, on the pencil it was given: every returned
+pair must satisfy
 
     ||A v - lambda v||_inf <= 1e-8 * ||A||_inf * ||v||_inf
 
@@ -36,13 +39,19 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-__all__ = ["EigenDecomposition", "EigenSolveError", "RESIDUAL_TOL", "eig", "eigh_pencil"]
+__all__ = ["EigenDecomposition", "EigenSolveError", "InfiniteLevelError", "RESIDUAL_TOL", "eig",
+           "eigh_pencil", "ritz_pencil"]
 
 RESIDUAL_TOL = 1e-8
 
 
 class EigenSolveError(RuntimeError):
     """Raised when an eigensolve fails to converge or violates its contract."""
+
+
+class InfiniteLevelError(EigenSolveError):
+    """Raised when a requested eigenvalue of a pencil is not finite: the
+    pencil has fewer finite levels than were asked for."""
 
 
 @dataclass(frozen=True)
@@ -177,11 +186,50 @@ def eigh_pencil(left: np.ndarray, right, count: int,
     _validate_count(count, n)
     mu, V = _largest(left, right, count)
     if not mu[0] > 0.0:
-        raise EigenSolveError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
-                              "eigenvalues are finite")
+        raise InfiniteLevelError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
+                                 "eigenvalues are finite")
     lam = 1.0 / mu[::-1]
     V = V[:, ::-1]
+    return _verified(lam, V, left_times(V), right @ V, left_norm, right)
+
+
+def ritz_pencil(X: np.ndarray, left_times: Callable[[np.ndarray], np.ndarray], right,
+                left_norm: float,
+                left_form: Callable[[np.ndarray], np.ndarray]) -> EigenDecomposition:
+    """The Rayleigh-Ritz pairs of left v = lambda right v on the span of the
+    columns of the n x k array X, ascending, verified by the pencil's
+    residual contract.
+
+    ``left_times``, ``right`` and ``left_norm`` are as for ``eigh_pencil``;
+    the dense left matrix is not needed.  The k x k projections X^T left X
+    and X^T right X form a small symmetric-definite pencil, and its pairs
+    (theta, y) give the Ritz pairs (theta, X y), whose products with left
+    and right are the projections' factors times y, so the contract costs
+    no further product.  ``left_form(X)`` is X^T left X, which a structured
+    caller computes more accurately than X^T ``left_times(X)``: a rounding
+    error e in it mixes Ritz vectors whose levels lie g apart by about e/g.
+    The pairs are the lowest of the pencil only when X nearly spans its
+    lowest eigenvectors; the contract checks that they are eigenpairs, not
+    which ones.
+
+    Raises EigenSolveError if X^T right X is not positive definite or any
+    pair misses the residual contract.
+    """
+    AX, BX = left_times(X), right @ X
+    small_left, small_right = left_form(X), X.T @ BX
+    try:
+        theta, Y = scipy.linalg.eigh((small_left + small_left.T) / 2.0,
+                                     (small_right + small_right.T) / 2.0, check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise EigenSolveError(f"Rayleigh-Ritz projection failed: {exc}") from exc
+    return _verified(theta, X @ Y, AX @ Y, BX @ Y, left_norm, right)
+
+
+def _verified(lam: np.ndarray, V: np.ndarray, AV: np.ndarray, BV: np.ndarray, left_norm: float,
+              right) -> EigenDecomposition:
+    """The pairs (lam, V) of the pencil whose products with V are AV and BV,
+    once every pair meets the pencil's residual contract."""
     # right may be sparse
     scale = left_norm + np.abs(lam) * abs(right).sum(axis=1).max()
-    residuals = _relative_residuals(left_times(V) - (right @ V) * lam[None, :], V, scale)
+    residuals = _relative_residuals(AV - BV * lam[None, :], V, scale)
     return EigenDecomposition(eigenvalues=lam, eigenvectors=V, residuals=residuals)

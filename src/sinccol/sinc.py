@@ -58,7 +58,8 @@ class SincGrid:
         M: lower summation limit (indices start at -M).
         N: upper summation limit, N = ceil((alpha/beta) * M) on build_grid's grid.
         a: step size, a = sqrt(2*pi*d / (alpha*M)) on build_grid's grid; a
-            ``window`` of it keeps a and the indices but not M and N.
+            ``window`` of it keeps a and the indices but not M and N, and
+            ``nested(stride)`` has the step stride*a.
         points: sinc points x_m = psi(m*a), m = -M..N, strictly increasing.
         phi1: phi'(x_m) = sqrt(1 + e^(-2ma)), stored in closed form.
         phi2: phi''(x_m) = -e^(-2ma), stored in closed form.
@@ -90,6 +91,20 @@ class SincGrid:
             raise ValueError(f"window {lo}..{hi} is not inside the grid's {-self.M}..{self.N}")
         kept = slice(lo + self.M, hi + self.M + 1)
         return replace(self, M=-int(lo), N=int(hi), points=self.points[kept],
+                       phi1=self.phi1[kept], phi2=self.phi2[kept])
+
+    def nested(self, stride: int) -> SincGrid:
+        """The coarse grid of step stride*a on the logical indices that are
+        multiples of ``stride``: coarse index m holds the node of index
+        stride*m, whose point and map factors are sliced, not recomputed,
+        so every coarse node is bit-identical to a node of this grid."""
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ValueError(f"stride must be a positive integer, got {stride!r}")
+        M, N = self.M // stride, self.N // stride
+        if M + N < 0:
+            raise ValueError(f"no logical index of {-self.M}..{self.N} is a multiple of {stride}")
+        kept = slice(self.M - M * stride, self.M + N * stride + 1, stride)
+        return replace(self, M=int(M), N=int(N), a=stride * self.a, points=self.points[kept],
                        phi1=self.phi1[kept], phi2=self.phi2[kept])
 
 

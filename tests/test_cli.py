@@ -248,6 +248,19 @@ class TestExitCodes:
         assert out == ""
         assert err == f"sinccol: error: {message}; increase M\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction", "--l", "0", "--n", "150", "--M", "100"],
+        ["eigen", "--l", "0", "--count", "151", "--M", "100"],
+    ], ids=["wavefunction", "eigen"])
+    def test_state_without_a_finite_level_is_exit_1(self, capsys, argv):
+        # the grid's 151 points hold n = 150, but the lowest 151 levels of its
+        # bordered pencil are not all finite; the message names the state
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == ("sinccol: error: state n = 150 has no finite level on the grid at "
+                       "l = 0, M = 100; increase M\n")
+
     def test_pencil_larger_than_memory_is_exit_1(self, capsys, monkeypatch):
         import sinccol.collocation as collocation
 

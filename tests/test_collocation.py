@@ -167,12 +167,25 @@ class TestSolve:
         def fail_to_allocate(*args, **kwargs):
             raise AssertionError("the pencil was allocated")
 
-        # K = 13751 at l = 4, M = 2500: 1.51 GB against a pretended 1 GB
-        monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**9)
+        # l = 4, M = 2500: K = 13751 at a = 0.021, so solve factors only the
+        # nested pencil of stride 9, K = 1528, 18.7 MB against a pretended 10 MB
+        monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**7)
         problem = flagship_problem(4, M=2500)
         monkeypatch.setattr(collocation.np, "zeros", fail_to_allocate)
-        with pytest.raises(ValueError, match=r"K = 13751 needs 1\.51 GB.* has 1 GB.*reduce M"):
+        with pytest.raises(ValueError,
+                           match=r"pencil at K = 1528 needs 0\.0187 GB.* has 0\.01 GB.*reduce M"):
             solve(problem, 5)
+
+    def test_paper_grid_too_large_to_factor_is_solved_on_its_nested_grid(self, monkeypatch):
+        import sinccol.collocation as collocation
+        from sinccol import solve_states
+
+        # the fine left matrix would need 1.51 GB against a pretended 1 GB
+        monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**9)
+        pairs = solve(flagship_problem(4, M=2500), 5)
+        want = np.array([s.eigenvalue for s in solve_states(4, 5, M=500)])
+        got = np.array([p.eigenvalue for p in pairs])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-11
 
     def test_solve_builds_the_dense_pencil_once(self, monkeypatch):
         import sinccol.collocation as collocation
@@ -280,6 +293,25 @@ class TestLeftStructure:
             assert norm == pytest.approx(lapack.dlange("I", left), rel=1e-14, abs=0.0)
 
 
+    @pytest.mark.parametrize("l", [0, 1, 4])
+    def test_form_matches_the_dense_projection_for_smooth_columns(self, l):
+        from sinccol.collocation import _LeftStructure, _pencil_matrices, _safe_shift
+
+        problem = flagship_problem(l, M=100)
+        sigma = _safe_shift(problem)
+        left = _pencil_matrices(problem, sigma)[0].astype(np.longdouble)
+        K = problem.grid.size
+        # Gaussian bumps some 10 nodes wide, and at l = 0 a border coefficient
+        m = np.arange(K)[:, None]
+        X = np.exp(-np.square((m - np.array([0.3, 0.5, 0.7]) * K) / 10.0))
+        if l == 0:
+            X = np.vstack((X, [0.5, -1.0, 2.0]))
+        XL = X.astype(np.longdouble)
+        want = np.asarray(XL.T @ (left @ XL), dtype=float)
+        got = _LeftStructure.of(problem, sigma).form(X)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestSafeShift:
     """solve factors left - sigma diag(u) with sigma = max(0, min g/u): the
     Toeplitz part -d2/a^2 is positive definite and diag(g - sigma u) is
@@ -355,3 +387,131 @@ class TestSafeShift:
         dense_eig.eigh_pencil(left, right, 5, times, norm)
         # 47 against 87 operator applications when written
         assert shifted <= 60 < len(steps)
+
+
+@pytest.fixture(scope="module")
+def two_grid_and_direct():
+    """solve_states(l, 5, M) for l = 0..4 by the two-grid solve and, with the
+    coarse step at 0 (stride 1 everywhere), directly, by (M, l)."""
+    import sinccol.collocation as collocation
+    from sinccol import solve_states
+
+    both = {}
+    for M in (150, 200, 500, 1000):
+        for l in range(5):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(collocation, "_COARSE_STEP", 0.0)
+                direct = solve_states(l, 5, M=M)
+            both[M, l] = solve_states(l, 5, M=M), direct
+    return both
+
+
+class TestTwoGrid:
+    """solve eigensolves on the nested grid of step at most _COARSE_STEP and
+    finishes by Rayleigh-Ritz on the given pencil."""
+
+    @staticmethod
+    def counted_pencils(monkeypatch):
+        import sinccol.collocation as collocation
+
+        built = []
+        build = collocation._pencil_matrices
+
+        def counted(problem, sigma):
+            built.append(problem.grid.size)
+            return build(problem, sigma)
+
+        monkeypatch.setattr(collocation, "_pencil_matrices", counted)
+        return built
+
+    @pytest.mark.parametrize("M", [150, 200, 500, 1000])
+    def test_levels_and_states_match_the_direct_solve(self, two_grid_and_direct, M):
+        from sinccol import evaluate_radial
+
+        # the levels differed by at most 9.8e-14 when written (l = 4, M = 1000);
+        # the direct solve's own lambda_0 at l = 4 moves by 6.5e-14 between
+        # M = 300 and 1500, where discretization error is far below that
+        xs = np.geomspace(1e-4, 60.0, 400)
+        for l in range(5):
+            got, want = two_grid_and_direct[M, l]
+            for g, w in zip(got, want):
+                assert g.grid is not w.grid and g.grid.size == w.grid.size
+                assert abs(g.eigenvalue / w.eigenvalue - 1.0) <= 2e-13
+                R = evaluate_radial(w, xs)
+                assert np.max(np.abs(evaluate_radial(g, xs) - R)) <= 1e-12 * np.max(np.abs(R))
+
+    def test_only_the_nested_pencil_is_built(self, monkeypatch):
+        # l = 4, M = 300: a = 0.060, stride 3
+        problem = flagship_problem(4, M=300)
+        built = self.counted_pencils(monkeypatch)
+        solve(problem, 5)
+        assert built == [problem.grid.nested(3).size]
+
+    def test_a_step_above_half_the_coarse_step_is_solved_directly(self, monkeypatch):
+        # l = 4, M = 100: a = 0.148, stride 1
+        problem = flagship_problem(4, M=100)
+        built = self.counted_pencils(monkeypatch)
+        solve(problem, 5)
+        assert built == [problem.grid.size]
+
+    @pytest.mark.parametrize("lo, hi, count", [(4, 5, 1), (1, 9, 4)])
+    def test_a_nested_grid_too_small_for_the_count_is_solved_directly(self, lo, hi, count,
+                                                                      monkeypatch):
+        # a = 0.060, stride 3: indices 4..5 hold no multiple of 3, 1..9 three
+        grid = build_grid(4.5, 1.0, D4, 300).window(lo, hi)
+        problem = assemble(grid, lambda x: 79.0 / (4.0 * x**2) + np.log(x))
+        built = self.counted_pencils(monkeypatch)
+        assert len(solve(problem, count)) == count
+        assert built == [grid.size]
+
+    def test_states_truncated_by_the_grid_end_are_solved_directly(self, monkeypatch):
+        # l = 1, M = 500: a = 0.081, stride 2; the paper's grid ends before
+        # states 14..19 decay
+        problem = flagship_problem(1, M=500)
+        built = self.counted_pencils(monkeypatch)
+        pairs = solve(problem, 20)
+        assert built == [problem.grid.nested(2).size, problem.grid.size]
+        assert all(p.residual <= 1e-8 for p in pairs)
+
+    @pytest.mark.parametrize("noise", [1e-3, 1e-10], ids=["contract", "roundoff"])
+    def test_ritz_pairs_off_the_fine_pencil_are_solved_directly(self, noise, monkeypatch):
+        import sinccol.collocation as collocation
+
+        # a lifted basis off by 1e-3 misses the residual contract, one off by
+        # 1e-10 meets it but not the roundoff level the Ritz pairs must reach
+        problem = flagship_problem(4, M=300)
+        with monkeypatch.context() as patch:
+            patch.setattr(collocation, "_COARSE_STEP", 0.0)
+            want = solve(problem, 5)
+        lift = collocation.interpolate
+        rng = np.random.default_rng(4)
+
+        def noisy(grid, values, x):
+            exact = lift(grid, values, x)
+            return exact + noise * np.max(np.abs(exact)) * rng.standard_normal(exact.shape)
+
+        monkeypatch.setattr(collocation, "interpolate", noisy)
+        built = self.counted_pencils(monkeypatch)
+        got = solve(problem, 5)
+        assert built == [problem.grid.nested(3).size, problem.grid.size]
+        for g, w in zip(got, want):
+            assert g.eigenvalue == w.eigenvalue
+            assert np.array_equal(g.coefficients, w.coefficients)
+
+    def test_residual_is_that_of_the_fine_pencil(self, monkeypatch):
+        import sinccol.collocation as collocation
+
+        ritz = []
+        project = collocation.ritz_pencil
+
+        def recorded(X, *args):
+            ritz.append((X.shape[0], project(X, *args)))
+            return ritz[-1][1]
+
+        monkeypatch.setattr(collocation, "ritz_pencil", recorded)
+        problem = flagship_problem(4, M=300)
+        pairs = solve(problem, 5)
+        (rows, decomp), = ritz
+        assert rows == problem.grid.size
+        assert [p.residual for p in pairs] == list(decomp.residuals)
+        assert all(0.0 < p.residual <= collocation._RITZ_RESIDUAL for p in pairs)

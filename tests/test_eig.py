@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from sinccol import RESIDUAL_TOL, EigenSolveError, eigh_pencil
-from sinccol.dense_eig import eig
+from sinccol.dense_eig import eig, ritz_pencil
 
 from oracles import charpoly_coefficients, charpoly_eval
 
@@ -422,3 +422,46 @@ class TestPencil:
         lowest = self.solve(left, right, 1).eigenvalues[0]
         with pytest.raises(EigenSolveError, match="not positive definite"):
             self.solve(left - (lowest + 0.01) * right, right, count)
+
+
+class TestRitz:
+    """ritz_pencil: Rayleigh-Ritz on a given basis, verified on the full pencil."""
+
+    @staticmethod
+    def ritz(left, right, X):
+        return ritz_pencil(X, left.__matmul__, right, np.abs(left).sum(1).max(),
+                           lambda X: X.T @ left @ X)
+
+    def test_exact_basis_gives_the_lowest_pairs(self):
+        left, right = TestPencil.random_pencil(30, 7)
+        want = TestPencil.solve(left, right, 4)
+        # any basis of the same span, mixed and scaled
+        mix = np.random.default_rng(3).standard_normal((4, 4)) + 4.0 * np.eye(4)
+        got = self.ritz(left, right, want.eigenvectors @ mix)
+        assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12, atol=0.0)
+        assert np.allclose(TestPencil.peak_normalized(got.eigenvectors),
+                           TestPencil.peak_normalized(want.eigenvectors), rtol=0.0, atol=1e-10)
+
+    def test_residuals_are_those_of_the_full_pencil(self):
+        left, right = TestPencil.random_pencil(30, 7)
+        exact = TestPencil.solve(left, right, 3).eigenvectors
+        X = exact + 1e-11 * np.random.default_rng(5).standard_normal(exact.shape)
+        got = self.ritz(left, right, X)
+        V, lam = got.eigenvectors, got.eigenvalues
+        scale = np.abs(left).sum(1).max() + np.abs(lam) * np.abs(right).sum(1).max()
+        want = (np.max(np.abs(left @ V - right @ V * lam), axis=0)
+                / (scale * np.max(np.abs(V), axis=0)))
+        assert np.all(got.residuals > 0.0)
+        assert np.allclose(got.residuals, want, rtol=1e-6, atol=0.0)
+
+    def test_a_basis_far_from_eigenvectors_misses_the_contract(self):
+        left, right = TestPencil.random_pencil(30, 7)
+        X = np.random.default_rng(11).standard_normal((30, 3))
+        with pytest.raises(EigenSolveError, match="residual contract violated"):
+            self.ritz(left, right, X)
+
+    def test_dependent_basis_is_reported(self):
+        left, right = TestPencil.random_pencil(10, 2)
+        x = np.ones((10, 1))
+        with pytest.raises(EigenSolveError, match="Rayleigh-Ritz"):
+            self.ritz(left, right, np.hstack((x, x)))
