@@ -59,10 +59,15 @@ point, so the grids nest, and ``solve`` is a two-grid eigenvalue scheme
 (Xu & Zhou, Math. Comp. 70 (2001) 17).  With stride =
 max(1, floor(_COARSE_STEP / a)) > 1 it solves the pencil of the nested
 grid of step stride*a (``SincGrid.nested``) as above, lifts the coarse
-vectors v, functions of z, onto the given grid's points by sinc
-interpolation (the border coefficient is the same on both grids), and
-finishes by Rayleigh-Ritz on the given pencil from its O(K log K)
-products, so the given grid's dense matrix is never built.  It solves the
+vectors v, functions of z, onto the given grid's nodes, and finishes by
+Rayleigh-Ritz on the given pencil from its O(K log K) products, so the
+given grid's dense matrix is never built.  The lift works in index space:
+fine node j sits at coarse index j/stride, so the coarse sinc series
+there is the coarse vector, stuffed with stride - 1 zeros between
+entries, convolved with sinc(j/stride), one FFT convolution for all the
+vectors (the border coefficient is the same on both grids).  The right
+matrix, diag(u) or its arrowhead, is applied from its pieces in O(K)
+throughout.  It solves the
 given pencil directly instead at a stride of 1 and on two exits: a
 coarse vector that has not decayed to _DECAYED of its peak at both ends
 (a state the grid's end truncates), and Ritz pairs that miss the
@@ -78,8 +83,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 # eig is unused here; perfbench/layers.py wraps this name
 from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, eig, eigh_pencil,
@@ -176,6 +180,20 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _toeplitz_times(column: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T @ X for the symmetric K x K Toeplitz T[i, j] = column[|i - j|] and a
+    K x k array X: T by its circulant embedding of power-of-two length
+    L >= 2K - 1 through the real FFT (Chan & Ng, SIAM Review 38 (1996) 427),
+    so the product is a linear convolution, with no wrap-around."""
+    K = column.size
+    L = 1 << (2 * K - 2).bit_length()
+    circulant = np.zeros(L)
+    circulant[:K] = column
+    circulant[L - K + 1:] = column[:0:-1]
+    return np.fft.irfft(np.fft.rfft(circulant)[:, None] * np.fft.rfft(X, n=L, axis=0),
+                        n=L, axis=0)[:K]
+
+
 @dataclass(frozen=True)
 class _LeftStructure:
     """The pencil's left matrix by its pieces: the symmetric Toeplitz block
@@ -208,12 +226,14 @@ class _LeftStructure:
         return cls(column, a, g, sigma * u, g * w - ddw, float(np.sum(dw * dw + g * w * w)))
 
     def dense(self) -> np.ndarray:
-        """The n x n left matrix, Fortran-ordered for LAPACK."""
+        """The n x n left matrix, Fortran-ordered for LAPACK, with T copied
+        into it from a strided view of the column, so no K x K temporary."""
         K = self.column.size
-        left = toeplitz(self.column).T  # T is symmetric; its transpose is Fortran-ordered
+        left = np.empty((K if self.border is None else K + 1,) * 2, order="F")
+        # window i of [column[K-1..1], column] read backwards is row i of T
+        symmetric = np.concatenate((self.column[:0:-1], self.column))
+        left[:K, :K] = sliding_window_view(symmetric, K)[:, ::-1]
         if self.border is not None:
-            block, left = left, np.zeros((K + 1, K + 1), order="F")
-            left[:K, :K] = block
             left[K, :K] = left[:K, K] = self.border
             left[K, K] = self.corner
         diag = np.arange(K)
@@ -223,17 +243,11 @@ class _LeftStructure:
         return left
 
     def __matmul__(self, V: np.ndarray) -> np.ndarray:
-        """left @ V for an n x k array V: T by its circulant embedding of
-        power-of-two length L >= 2K - 1 through the real FFT (Chan & Ng,
-        SIAM Review 38 (1996) 427), then diag(g) and the border."""
+        """left @ V for an n x k array V: T by the FFT (``_toeplitz_times``),
+        then diag(g) and the border."""
         K = self.column.size
-        L = 1 << (2 * K - 2).bit_length()
-        circulant = np.zeros(L)
-        circulant[:K] = self.column
-        circulant[L - K + 1:] = self.column[:0:-1]
         X = V[:K]
-        out = np.fft.irfft(np.fft.rfft(circulant)[:, None] * np.fft.rfft(X, n=L, axis=0),
-                           n=L, axis=0)[:K]
+        out = _toeplitz_times(self.column, X)
         out += (self.g - self.shift)[:, None] * X
         if self.border is None:
             return out
@@ -279,27 +293,58 @@ class _LeftStructure:
         return out + cross + cross.T + self.corner * np.outer(X[K], X[K])
 
 
-def _right(problem: CollocationProblem) -> scipy.sparse.csr_array:
-    """The pencil's sparse right matrix: diag(u), or its arrowhead border."""
-    K = problem.grid.size
-    n = K if problem.omega is None else K + 1
-    # (value, row, column) triplets: diag(u), then the border
-    diag = np.arange(K)
-    triplets = [(problem.weight, diag, diag)]
-    if problem.omega is not None:
-        border = problem.weight * problem.omega
-        edge = np.full(K + 1, K)
-        triplets += [(border, diag, edge[:K]),
-                     (np.append(border, np.sum(border * problem.omega)), edge, np.arange(K + 1))]
-    values, rows, columns = map(np.concatenate, zip(*triplets))
-    return scipy.sparse.csr_array((values, (rows, columns)), shape=(n, n))
+@dataclass(frozen=True)
+class _RightStructure:
+    """The pencil's right matrix by its pieces: diag(u), and at alpha = 1/2
+    the arrowhead of the border row and column ``border`` = u omega with
+    ``corner`` = sum u omega^2 at (K, K).  Its product and infinity norm are
+    O(K) array operations; ``dense`` is for checks only."""
+
+    u: np.ndarray
+    border: np.ndarray | None
+    corner: float
+
+    @classmethod
+    def of(cls, problem: CollocationProblem) -> _RightStructure:
+        u, w = problem.weight, problem.omega
+        if w is None:
+            return cls(u, None, 0.0)
+        border = u * w
+        return cls(u, border, float(np.sum(border * w)))
+
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        """right @ V for an n-vector or an n x k array V."""
+        K = self.u.size
+        X = V[:K]
+        u = self.u if V.ndim == 1 else self.u[:, None]
+        if self.border is None:
+            return u * X
+        out = np.empty(V.shape)
+        out[:K] = u * X + (self.border if V.ndim == 1 else self.border[:, None]) * V[K]
+        out[K] = self.border @ X + self.corner * V[K]
+        return out
+
+    def norm_inf(self) -> float:
+        """max_i sum_j |right[i, j]|."""
+        if self.border is None:
+            return float(np.max(np.abs(self.u)))
+        rows = np.abs(self.u) + np.abs(self.border)
+        return float(max(rows.max(), np.sum(np.abs(self.border)) + abs(self.corner)))
+
+    def dense(self) -> np.ndarray:
+        """The n x n right matrix."""
+        K = self.u.size
+        right = np.diag(self.u if self.border is None else np.append(self.u, self.corner))
+        if self.border is not None:
+            right[K, :K] = right[:K, K] = self.border
+        return right
 
 
 def _pencil_matrices(problem: CollocationProblem, sigma: float) -> tuple[
-        np.ndarray, scipy.sparse.csr_array, Callable[[np.ndarray], np.ndarray], float]:
+        np.ndarray, _RightStructure, Callable[[np.ndarray], np.ndarray], float]:
     """The (possibly bordered) pencil shifted by sigma: the dense left
-    matrix less sigma diag(u), Fortran-ordered for LAPACK, the sparse
-    right one, unshifted, and the product V -> left @ V and ||left||_inf
+    matrix less sigma diag(u), Fortran-ordered for LAPACK, the right one,
+    unshifted, by its pieces, and the product V -> left @ V and ||left||_inf
     of the residual contract for the same shifted left, computed from
     ``_LeftStructure`` without the dense matrix.  Only the unbordered
     pencil, whose right is diag(u), is shifted by a nonzero sigma
@@ -317,8 +362,8 @@ def _pencil_matrices(problem: CollocationProblem, sigma: float) -> tuple[
     if need > have:
         raise ValueError(f"the dense pencil at K = {K} needs {need / 1e9:.3g} GB, but this "
                          f"machine has {have / 1e9:.3g} GB of memory; reduce M")
-    structure = _LeftStructure.of(problem, sigma)
-    return structure.dense(), _right(problem), structure.__matmul__, structure.norm_inf()
+    left = _LeftStructure.of(problem, sigma)
+    return left.dense(), _RightStructure.of(problem), left.__matmul__, left.norm_inf()
 
 
 def _safe_shift(problem: CollocationProblem) -> float:
@@ -340,7 +385,31 @@ def _direct(problem: CollocationProblem, count: int, sigma: float) -> EigenDecom
     """The lowest ``count`` pairs of the pencil shifted by sigma, from its
     dense left matrix."""
     left, right, left_times, left_norm = _pencil_matrices(problem, sigma)
-    return eigh_pencil(left, right, count, left_times, left_norm)
+    return eigh_pencil(left, count, left_times, left_norm, right.__matmul__, right.norm_inf())
+
+
+def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
+    """The coarse sinc series of the columns of the Kc x k array V at the K
+    nodes of a grid whose node first + stride*i is coarse node i.
+
+    Fine node j lies at coarse index (j - first)/stride, so its value is
+    sum_i V[i] sinc((j - first)/stride - i): the columns stuffed with
+    stride - 1 zeros between entries, times the Toeplitz kernel
+    sinc(d/stride), by one FFT convolution.  The kernel is exactly 1 at
+    d = 0 and 0 at the other multiples of the stride, and the shared nodes
+    are copied, so they keep the coarse values bit for bit.
+    """
+    # sin(pi d/stride) from the remainder of d, exact at every multiple
+    d = np.arange(K)
+    kernel = np.where(d // stride % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (d % stride) / stride)
+    kernel[1:] /= np.pi * d[1:] / stride
+    kernel[0] = 1.0
+    shared = slice(first, first + stride * V.shape[0], stride)
+    stuffed = np.zeros((K, V.shape[1]))
+    stuffed[shared] = V
+    X = _toeplitz_times(kernel, stuffed)
+    X[shared] = V
+    return X
 
 
 def _two_grid(problem: CollocationProblem, count: int, sigma: float,
@@ -365,13 +434,13 @@ def _two_grid(problem: CollocationProblem, count: int, sigma: float,
         return None
     # v is a function of z, so the coarse sinc series gives it at the fine
     # nodes; the border coefficient is the same on both grids
-    X = np.array([interpolate(coarse.grid, v, grid.points) for v in V[:Kc].T]).T
+    X = _lift(V[:Kc], stride, grid.M - coarse.grid.M * stride, grid.size)
     if coarse.omega is not None:
         X = np.vstack((X, V[Kc]))
-    structure = _LeftStructure.of(problem, sigma)
+    left, right = _LeftStructure.of(problem, sigma), _RightStructure.of(problem)
     try:
-        ritz = ritz_pencil(X, structure.__matmul__, _right(problem), structure.norm_inf(),
-                           structure.form)
+        ritz = ritz_pencil(X, left.__matmul__, left.norm_inf(), left.form, right.__matmul__,
+                           right.norm_inf())
     except EigenSolveError:
         return None
     return ritz if np.max(ritz.residuals) <= _RITZ_RESIDUAL else None

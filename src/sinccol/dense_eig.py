@@ -15,7 +15,10 @@ eigenvectors of a coarser grid's pencil, and returns the Ritz pairs.
 The caller passes the dense left matrix, which the solve overwrites,
 together with the product V -> left @ V and the norm ||left||_inf, which
 it computes from the matrix's structure (for the sinc pencil a Toeplitz
-product by FFT), so the residual needs no second dense matrix.  One
+product by FFT), so the residual needs no second dense matrix.  The right
+matrix is passed the same way, as its product V -> right @ V and its
+norm ||right||_inf, and never as a matrix (for the sinc pencil a
+diagonal, or an arrowhead, applied as O(n) array operations).  One
 function verifies the per-pair residual contract for all three solvers,
 ``ritz_pencil`` included, on the pencil it was given: every returned
 pair must satisfy
@@ -120,7 +123,8 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=V, residuals=residuals)
 
 
-def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _largest(left: np.ndarray, count: int,
+             right_times: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The ``count`` largest mu of right v = mu left v, ascending, from the
     reduced operator L^-1 right L^-T, left = L L^T factored in place: by
     Lanczos, or for ``count >= n - 1`` by a dense symmetric eigensolve of
@@ -133,7 +137,7 @@ def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarra
 
     def reduced(y):
         x = blas.dtrsv(L, y, lower=1, trans=1)
-        return blas.dtrsv(L, right @ x, lower=1, overwrite_x=1)
+        return blas.dtrsv(L, right_times(x), lower=1, overwrite_x=1)
 
     if count >= n - 1:
         reduced_matrix = np.column_stack([reduced(e) for e in np.eye(n)])
@@ -151,25 +155,28 @@ def _largest(left: np.ndarray, right, count: int) -> tuple[np.ndarray, np.ndarra
     return mu, np.array([blas.dtrsv(L, y, lower=1, trans=1) for y in Y.T]).T
 
 
-def eigh_pencil(left: np.ndarray, right, count: int,
-                left_times: Callable[[np.ndarray], np.ndarray],
-                left_norm: float) -> EigenDecomposition:
+def eigh_pencil(left: np.ndarray, count: int, left_times: Callable[[np.ndarray], np.ndarray],
+                left_norm: float, right_times: Callable[[np.ndarray], np.ndarray],
+                right_norm: float) -> EigenDecomposition:
     """Lowest ``count`` eigenpairs of left v = lambda right v, ascending.
 
     ``left`` is a dense n x n symmetric positive definite array, which
-    the solve overwrites (a Fortran-ordered one avoids a copy); ``right``
-    is a symmetric positive semidefinite n x n array or scipy sparse
-    array, left unchanged.  The residual contract takes its product and
-    norm from ``left_times(V)``, the product left @ V for an n x k array
-    V, and ``left_norm``, the infinity norm of left, so the dense left is
-    built once; a structured caller computes them from the matrix's
-    pieces, which also checks the pairs against a second construction of
-    the same matrix.  ``count`` must be an integer in [1, n].
+    the solve overwrites (a Fortran-ordered one avoids a copy).  The
+    residual contract takes its product and norm from ``left_times(V)``,
+    the product left @ V for an n x k array V, and ``left_norm``, the
+    infinity norm of left, so the dense left is built once; a structured
+    caller computes them from the matrix's pieces, which also checks the
+    pairs against a second construction of the same matrix.  The
+    symmetric positive semidefinite right matrix is given only as
+    ``right_times(V)``, the product right @ V for an n-vector or an n x k
+    array V, and ``right_norm``, its infinity norm; an array ``B`` passes
+    ``B.__matmul__`` and ``np.abs(B).sum(1).max()``.  ``count`` must be an
+    integer in [1, n].
 
     The roles are swapped: with the Cholesky factor L of ``left``, the
     bounded operator L^-1 right L^-T is searched for its ``count`` largest
-    eigenvalues mu = 1/lambda only, so a singular or badly scaled ``right``
-    costs no accuracy in the low end of the spectrum.  Lanczos (ARPACK
+    eigenvalues mu = 1/lambda only, so a singular or badly scaled right
+    matrix costs no accuracy in the low end of the spectrum.  Lanczos (ARPACK
     ``eigsh``, start vector all ones, so that repeated solves are
     bit-identical) applies the operator by two triangular solves with L
     (dtrsv); the eigenvectors are v = L^-T y.  For ``count >= n - 1``,
@@ -184,23 +191,25 @@ def eigh_pencil(left: np.ndarray, right, count: int,
     """
     n = left.shape[0]
     _validate_count(count, n)
-    mu, V = _largest(left, right, count)
+    mu, V = _largest(left, count, right_times)
     if not mu[0] > 0.0:
         raise InfiniteLevelError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
                                  "eigenvalues are finite")
     lam = 1.0 / mu[::-1]
     V = V[:, ::-1]
-    return _verified(lam, V, left_times(V), right @ V, left_norm, right)
+    return _verified(lam, V, left_times(V), right_times(V), left_norm, right_norm)
 
 
-def ritz_pencil(X: np.ndarray, left_times: Callable[[np.ndarray], np.ndarray], right,
-                left_norm: float,
-                left_form: Callable[[np.ndarray], np.ndarray]) -> EigenDecomposition:
+def ritz_pencil(X: np.ndarray, left_times: Callable[[np.ndarray], np.ndarray], left_norm: float,
+                left_form: Callable[[np.ndarray], np.ndarray],
+                right_times: Callable[[np.ndarray], np.ndarray],
+                right_norm: float) -> EigenDecomposition:
     """The Rayleigh-Ritz pairs of left v = lambda right v on the span of the
     columns of the n x k array X, ascending, verified by the pencil's
     residual contract.
 
-    ``left_times``, ``right`` and ``left_norm`` are as for ``eigh_pencil``;
+    ``left_times``, ``left_norm``, ``right_times`` and ``right_norm`` are as
+    for ``eigh_pencil``;
     the dense left matrix is not needed.  The k x k projections X^T left X
     and X^T right X form a small symmetric-definite pencil, and its pairs
     (theta, y) give the Ritz pairs (theta, X y), whose products with left
@@ -215,21 +224,20 @@ def ritz_pencil(X: np.ndarray, left_times: Callable[[np.ndarray], np.ndarray], r
     Raises EigenSolveError if X^T right X is not positive definite or any
     pair misses the residual contract.
     """
-    AX, BX = left_times(X), right @ X
+    AX, BX = left_times(X), right_times(X)
     small_left, small_right = left_form(X), X.T @ BX
     try:
         theta, Y = scipy.linalg.eigh((small_left + small_left.T) / 2.0,
                                      (small_right + small_right.T) / 2.0, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise EigenSolveError(f"Rayleigh-Ritz projection failed: {exc}") from exc
-    return _verified(theta, X @ Y, AX @ Y, BX @ Y, left_norm, right)
+    return _verified(theta, X @ Y, AX @ Y, BX @ Y, left_norm, right_norm)
 
 
 def _verified(lam: np.ndarray, V: np.ndarray, AV: np.ndarray, BV: np.ndarray, left_norm: float,
-              right) -> EigenDecomposition:
+              right_norm: float) -> EigenDecomposition:
     """The pairs (lam, V) of the pencil whose products with V are AV and BV,
     once every pair meets the pencil's residual contract."""
-    # right may be sparse
-    scale = left_norm + np.abs(lam) * abs(right).sum(axis=1).max()
+    scale = left_norm + np.abs(lam) * right_norm
     residuals = _relative_residuals(AV - BV * lam[None, :], V, scale)
     return EigenDecomposition(eigenvalues=lam, eigenvectors=V, residuals=residuals)

@@ -312,6 +312,57 @@ class TestLeftStructure:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+    @pytest.mark.parametrize("M", [1, 2, 25, 100])
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_dense_is_bit_identical_to_the_toeplitz_build(self, l, M):
+        from scipy.linalg import toeplitz
+
+        from sinccol.collocation import _LeftStructure, _safe_shift
+
+        problem = flagship_problem(l, M=M)
+        structure = _LeftStructure.of(problem, _safe_shift(problem))
+        K = problem.grid.size
+        # the build the in-place fill replaced: a K x K toeplitz, copied into
+        # a zeroed (K + 1) x (K + 1) array when bordered
+        want = toeplitz(structure.column).T
+        if structure.border is not None:
+            block, want = want, np.zeros((K + 1, K + 1), order="F")
+            want[:K, :K] = block
+            want[K, :K] = want[:K, K] = structure.border
+            want[K, K] = structure.corner
+        diag = np.arange(K)
+        want[diag, diag] += structure.g
+        want[diag, diag] -= structure.shift
+        got = structure.dense()
+        assert got.flags.f_contiguous
+        assert got.shape == (K + (l == 0),) * 2
+        assert np.array_equal(got, want)
+
+
+class TestRightStructure:
+    """The right matrix's product and norm from diag(u) and, at alpha = 1/2,
+    its arrowhead border, against its dense form."""
+
+    @pytest.mark.parametrize("M", [1, 2, 25, 100])
+    @pytest.mark.parametrize("l", [0, 1, 4])
+    def test_product_and_norm_match_the_dense_matrix(self, l, M):
+        from sinccol.collocation import _RightStructure
+
+        problem = flagship_problem(l, M=M)
+        right = _RightStructure.of(problem)
+        dense = right.dense()
+        n = dense.shape[0]
+        assert n == problem.grid.size + (l == 0)
+        V = np.random.default_rng(l * 1000 + M).standard_normal((n, 5))
+        want = dense @ V
+        tol = 1e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(right @ V - want)) <= tol
+        # Lanczos applies it to single vectors, and to reversed column views
+        assert np.max(np.abs(right @ V[:, 0] - want[:, 0])) <= tol
+        assert np.max(np.abs(right @ V[:, ::-1] - want[:, ::-1])) <= tol
+        assert right.norm_inf() == pytest.approx(np.abs(dense).sum(1).max(), rel=1e-15, abs=0.0)
+
+
 class TestSafeShift:
     """solve factors left - sigma diag(u) with sigma = max(0, min g/u): the
     Toeplitz part -d2/a^2 is positive definite and diag(g - sigma u) is
@@ -338,7 +389,8 @@ class TestSafeShift:
         assert sigma > 0.0
         assert np.all(problem.g - sigma * problem.weight >= 0.0)
         left, right, times, norm = _pencil_matrices(problem, 0.0)
-        assert sigma <= eigh_pencil(left, right, 1, times, norm).eigenvalues[0]
+        assert sigma <= eigh_pencil(left, 1, times, norm, right.__matmul__,
+                                    right.norm_inf()).eigenvalues[0]
 
     @pytest.mark.parametrize("l", [1, 4])
     def test_solve_adds_the_shift_to_the_shifted_pencil(self, l):
@@ -352,7 +404,8 @@ class TestSafeShift:
         diag = np.arange(problem.grid.size)
         plain[diag, diag] -= sigma * problem.weight
         assert np.array_equal(left, plain)
-        want = sigma + eigh_pencil(left, right, 5, times, norm).eigenvalues
+        want = sigma + eigh_pencil(left, 5, times, norm, right.__matmul__,
+                                   right.norm_inf()).eigenvalues
         assert np.array_equal([p.eigenvalue for p in solve(problem, 5)], want)
 
     def test_bordered_pencil_is_not_shifted(self):
@@ -384,7 +437,7 @@ class TestSafeShift:
         solve(problem, 5)
         shifted, steps[:] = len(steps), []
         left, right, times, norm = _pencil_matrices(problem, 0.0)
-        dense_eig.eigh_pencil(left, right, 5, times, norm)
+        dense_eig.eigh_pencil(left, 5, times, norm, right.__matmul__, right.norm_inf())
         # 47 against 87 operator applications when written
         assert shifted <= 60 < len(steps)
 
@@ -483,20 +536,34 @@ class TestTwoGrid:
         with monkeypatch.context() as patch:
             patch.setattr(collocation, "_COARSE_STEP", 0.0)
             want = solve(problem, 5)
-        lift = collocation.interpolate
+        lift = collocation._lift
         rng = np.random.default_rng(4)
 
-        def noisy(grid, values, x):
-            exact = lift(grid, values, x)
-            return exact + noise * np.max(np.abs(exact)) * rng.standard_normal(exact.shape)
+        def noisy(V, stride, first, K):
+            exact = lift(V, stride, first, K)
+            return exact + noise * np.max(np.abs(exact), axis=0) * rng.standard_normal(exact.shape)
 
-        monkeypatch.setattr(collocation, "interpolate", noisy)
+        monkeypatch.setattr(collocation, "_lift", noisy)
         built = self.counted_pencils(monkeypatch)
         got = solve(problem, 5)
         assert built == [problem.grid.nested(3).size, problem.grid.size]
         for g, w in zip(got, want):
             assert g.eigenvalue == w.eigenvalue
             assert np.array_equal(g.coefficients, w.coefficients)
+
+    def test_no_interpolate_call(self, monkeypatch):
+        import sinccol.collocation as collocation
+        import sinccol.sinc
+
+        def no_interpolate(*args):
+            raise AssertionError("interpolate called")
+
+        monkeypatch.setattr(collocation, "interpolate", no_interpolate)
+        monkeypatch.setattr(sinccol.sinc, "interpolate", no_interpolate)
+        problem = flagship_problem(4, M=300)
+        built = self.counted_pencils(monkeypatch)
+        assert len(solve(problem, 5)) == 5
+        assert built == [problem.grid.nested(3).size]
 
     def test_residual_is_that_of_the_fine_pencil(self, monkeypatch):
         import sinccol.collocation as collocation
@@ -515,3 +582,63 @@ class TestTwoGrid:
         assert rows == problem.grid.size
         assert [p.residual for p in pairs] == list(decomp.residuals)
         assert all(0.0 < p.residual <= collocation._RITZ_RESIDUAL for p in pairs)
+
+
+def unaligned_window(grid, stride):
+    """The grid less one or two nodes at each end, so that neither end's
+    logical index is a multiple of ``stride``."""
+    lo = next(m for m in (-grid.M + 1, -grid.M + 2) if m % stride)
+    hi = next(m for m in (grid.N - 1, grid.N - 2) if m % stride)
+    return grid.window(lo, hi)
+
+
+class TestLift:
+    """The two-grid lift: the coarse sinc series at the fine nodes by one FFT
+    convolution in index space."""
+
+    @staticmethod
+    def lifted(coarse, grid, stride, V):
+        from sinccol.collocation import _lift
+
+        return _lift(V, stride, grid.M - coarse.M * stride, grid.size)
+
+    @pytest.mark.parametrize("M", [150, 300, 500, 1000])
+    def test_matches_interpolate_on_the_coarse_states(self, M):
+        from sinccol.collocation import _COARSE_STEP, _direct, _safe_shift
+        from sinccol.sinc import interpolate
+
+        # the vectors the two-grid solve lifts: five coarse states, at the
+        # solve's stride, or 2 where that is 1
+        for l in range(5):
+            problem = flagship_problem(l, M=M)
+            stride = max(2, int(_COARSE_STEP / problem.grid.a))
+            grid = unaligned_window(problem.grid, stride)
+            coarse = assemble(grid.nested(stride), problem.potential)
+            Kc = coarse.grid.size
+            V = _direct(coarse, 5, _safe_shift(coarse)).eigenvectors[:Kc]
+            X = self.lifted(coarse.grid, grid, stride, V)
+            want = np.array([interpolate(coarse.grid, v, grid.points) for v in V.T]).T
+            peaks = np.max(np.abs(V), axis=0)
+            # 2.8e-15 of the peak at most when written
+            assert np.all(np.max(np.abs(X - want), axis=0) <= 1e-13 * peaks)
+            first = grid.M - coarse.grid.M * stride
+            assert np.array_equal(X[first::stride][:Kc], V)
+            assert np.array_equal(grid.points[first::stride][:Kc], coarse.grid.points)
+
+    @pytest.mark.parametrize("stride", [2, 3, 5])
+    @pytest.mark.parametrize("M", [150, 300])
+    def test_matches_the_series_on_random_columns(self, M, stride):
+        # against sum_i V[i] sinc((j - first)/stride - i) term by term;
+        # interpolate, which maps x back to z, is off by up to 4.9e-13 of the
+        # peak on such columns at M = 1000, where they do not decay
+        rng = np.random.default_rng(M + stride)
+        for l in range(5):
+            grid = unaligned_window(flagship_problem(l, M=M).grid, stride)
+            coarse = grid.nested(stride)
+            V = rng.uniform(-1.0, 1.0, (coarse.size, 3))
+            first = grid.M - coarse.M * stride
+            offsets = np.arange(grid.size)[:, None] - first - stride * np.arange(coarse.size)
+            want = np.sinc(offsets / stride) @ V
+            X = self.lifted(coarse, grid, stride, V)
+            assert np.max(np.abs(X - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(X[first::stride][:coarse.size], V)

@@ -147,7 +147,8 @@ class TestPencil:
         """eigh_pencil on a fresh copy of ``left``; the residual's product
         and norm come from the saved one."""
         norm = np.abs(left).sum(1).max()
-        return eigh_pencil(left.copy(), right, count, left.__matmul__, norm)
+        return eigh_pencil(left.copy(), count, left.__matmul__, norm, right.__matmul__,
+                           np.abs(right).sum(1).max())
 
     def test_matches_generalized_eigenvalues(self):
         left, right = self.random_pencil(30, 7)
@@ -186,7 +187,7 @@ class TestPencil:
         left = np.asfortranarray(left)
         saved = left.copy()
         with pytest.raises(ValueError, match="count must be an integer"):
-            eigh_pencil(left, right, count, left.__matmul__, 1.0)
+            eigh_pencil(left, count, left.__matmul__, 1.0, right.__matmul__, 1.0)
         # dpotrf would have overwritten the Fortran-ordered left in place
         assert np.array_equal(left, saved)
 
@@ -198,20 +199,22 @@ class TestPencil:
     @pytest.mark.parametrize("l", [0, 4])
     def test_lanczos_matches_dense_on_flagship_pencil(self, l):
         import scipy.linalg
-        import scipy.sparse
 
         from sinccol import flagship_problem
         from sinccol.collocation import _pencil_matrices
 
         problem = flagship_problem(l, M=100)
         left, right, times, norm = _pencil_matrices(problem, 0.0)
-        assert scipy.sparse.issparse(right)
-        K = problem.grid.size
+        K, n = problem.grid.size, left.shape[0]
         # l = 0 is bordered: right is diag(u) plus one border row and column
-        assert right.nnz == (3 * K + 1 if l == 0 else K)
-        mu = scipy.linalg.eigh(right.toarray(), left, eigvals_only=True)
+        arrowhead = np.eye(n, dtype=bool)
+        arrowhead[n - 1] = arrowhead[:, n - 1] = l == 0
+        arrowhead[n - 1, n - 1] = True
+        assert np.array_equal(right.dense() != 0.0, arrowhead)
+        assert np.count_nonzero(right.dense()) == (3 * K + 1 if l == 0 else K)
+        mu = scipy.linalg.eigh(right.dense(), left, eigvals_only=True)
         dense = np.sort(1.0 / mu[mu > 0.0])[:5]
-        dec = eigh_pencil(left, right, 5, times, norm)
+        dec = eigh_pencil(left, 5, times, norm, right.__matmul__, right.norm_inf())
         assert np.allclose(dec.eigenvalues, dense, rtol=1e-12, atol=0.0)
         assert np.all(dec.residuals <= RESIDUAL_TOL)
 
@@ -231,7 +234,8 @@ class TestPencil:
     def test_repeated_flagship_solves_are_bit_identical(self):
         # n = 1101, large enough for OpenBLAS to thread the Cholesky factorization
         left, right, times, norm = self.flagship_pencil(4, 200)
-        first, second = (eigh_pencil(np.array(left, order="F"), right, 5, times, norm)
+        first, second = (eigh_pencil(np.array(left, order="F"), 5, times, norm, right.__matmul__,
+                                     right.norm_inf())
                          for _ in range(2))
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
@@ -244,7 +248,7 @@ class TestPencil:
         assert left.flags.f_contiguous
         tracemalloc.start()
         try:
-            eigh_pencil(left, right, 5, times, norm)
+            eigh_pencil(left, 5, times, norm, right.__matmul__, right.norm_inf())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -307,7 +311,8 @@ class TestPencil:
         monkeypatch.setattr(dense_eig.lapack, "dpotrf", counting_dpotrf)
         monkeypatch.setattr(dense_eig.scipy.linalg, "eigh", one_matrix_eigh)
         norm = np.abs(left).sum(1).max()
-        dec = eigh_pencil(left.copy(), right, count, left.__matmul__, norm)
+        dec = eigh_pencil(left.copy(), count, left.__matmul__, norm, right.__matmul__,
+                          np.abs(right).sum(1).max())
         assert factored == [(n, n)]
         assert solved == ([(n, n)] if count >= n - 1 else [])
         assert np.allclose(shift + dec.eigenvalues, full[:count], rtol=1e-10, atol=0.0)
@@ -327,7 +332,7 @@ class TestPencil:
         problem = flagship_problem(l, M=M)
         left, right, _, _ = _pencil_matrices(problem, 0.0)
         n = left.shape[0]
-        mu = scipy.linalg.eigh(right.toarray(), left, eigvals_only=True)
+        mu = scipy.linalg.eigh(right.dense(), left, eigvals_only=True)
         reference = np.sort(1.0 / mu[mu > 0.0])
         monkeypatch.setattr(dense_eig, "eigsh", no_lanczos)
         # the bordered l = 0 pencil has n = K + 1, and solve takes at most K pairs
@@ -365,7 +370,8 @@ class TestPencil:
         left, right = self.random_pencil(30, 4)
         norm = np.abs(left).sum(1).max()
         with pytest.raises(EigenSolveError, match="non-finite"):
-            eigh_pencil(left, right, 4, lambda V: np.full(V.shape, np.nan), norm)
+            eigh_pencil(left, 4, lambda V: np.full(V.shape, np.nan), norm, right.__matmul__,
+                        np.abs(right).sum(1).max())
 
     @pytest.mark.parametrize("l", [0, 4])
     def test_perturbed_product_breaks_the_contract(self, l):
@@ -378,9 +384,11 @@ class TestPencil:
             product = times(V)
             return product + 1e-6 * np.max(np.abs(product))
 
-        assert np.all(eigh_pencil(left.copy(), right, 5, times, norm).residuals <= RESIDUAL_TOL)
+        right_norm = right.norm_inf()
+        assert np.all(eigh_pencil(left.copy(), 5, times, norm, right.__matmul__,
+                                  right_norm).residuals <= RESIDUAL_TOL)
         with pytest.raises(EigenSolveError, match="residual contract violated"):
-            eigh_pencil(left, right, 5, perturbed, norm)
+            eigh_pencil(left, 5, perturbed, norm, right.__matmul__, right_norm)
 
     @staticmethod
     def peak_normalized(V):
@@ -397,9 +405,9 @@ class TestPencil:
         shift = _safe_shift(problem)
         assert shift > 0.0
         left, right, times, norm = _pencil_matrices(problem, 0.0)
-        plain = eigh_pencil(left, right, count, times, norm)
+        plain = eigh_pencil(left, count, times, norm, right.__matmul__, right.norm_inf())
         left, right, times, norm = _pencil_matrices(problem, shift)
-        shifted = eigh_pencil(left, right, count, times, norm)
+        shifted = eigh_pencil(left, count, times, norm, right.__matmul__, right.norm_inf())
         assert np.allclose(shift + shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
         assert np.all(shifted.residuals <= RESIDUAL_TOL)
         assert np.allclose(self.peak_normalized(shifted.eigenvectors),
@@ -429,8 +437,8 @@ class TestRitz:
 
     @staticmethod
     def ritz(left, right, X):
-        return ritz_pencil(X, left.__matmul__, right, np.abs(left).sum(1).max(),
-                           lambda X: X.T @ left @ X)
+        return ritz_pencil(X, left.__matmul__, np.abs(left).sum(1).max(),
+                           lambda X: X.T @ left @ X, right.__matmul__, np.abs(right).sum(1).max())
 
     def test_exact_basis_gives_the_lowest_pairs(self):
         left, right = TestPencil.random_pencil(30, 7)
