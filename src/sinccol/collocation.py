@@ -30,9 +30,10 @@ and collocation gives the symmetric-definite pencil
     (-d2/a^2 + diag(g)) v = lambda diag(u) v,
 
 whose entries stay near 1/a^2.  ``solve`` takes its lowest pairs and
-returns the nodal values f(x_m) = v_m / sqrt(phi'(x_m)).  It solves the
-shifted pencil, left matrix -d2/a^2 + diag(g - sigma u) with
-sigma = max(0, min g/u), and adds sigma back to each level.  That left
+returns the nodal values f(x_m) = v_m / sqrt(phi'(x_m)).  ``_Pencil``
+is that pencil as it is solved, shifted by sigma = max(0, min g/u): left
+T + G - sigma diag(u), with T = -d2/a^2 and G = diag(g), and right
+R = diag(u); ``solve`` adds sigma back to each level.  That left
 matrix is positive definite: the sinc matrix -d2 has its eigenvalues in
 (0, pi^2] (Stenger, 1993) and g - sigma u >= 0.  So sigma lies below the
 lowest level, and Lanczos searches 1/(lambda - sigma), whose low end is
@@ -50,7 +51,8 @@ omega'' = 4 omega (1 - omega)(1 - 2 omega).  For alpha > 1/2 the
 function is left out: g tends to l^2 at the left end and the integral of
 g omega^2 diverges.  The bordered pencil is not shifted (sigma = 0): there
 g/u tends to ln x + 1/2, unbounded below, and the border is no part of
-the Toeplitz block.
+the Toeplitz block.  G and R are then arrowheads: diag(g) and diag(u)
+with the border row and column and the corner.
 
 The paper's M sets a step far finer than the states need: the flagship
 levels converge like exp(-8.5/a) and reach roundoff by a = 0.2, while
@@ -65,15 +67,15 @@ given grid's dense matrix is never built.  The lift works in index space:
 fine node j sits at coarse index j/stride, so the coarse sinc series
 there is the coarse vector, stuffed with stride - 1 zeros between
 entries, convolved with sinc(j/stride), one FFT convolution for all the
-vectors (the border coefficient is the same on both grids).  The right
-matrix, diag(u) or its arrowhead, is applied from its pieces in O(K)
-throughout.  It solves the
-given pencil directly instead at a stride of 1 and on two exits: a
-coarse vector that has not decayed to _DECAYED of its peak at both ends
-(a state the grid's end truncates), and Ritz pairs that miss the
-residual contract or whose residual is above _RITZ_RESIDUAL.  The
-memory check guards the dense matrix that is built: the nested grid's
-on the two-grid path, the given grid's on the direct one.
+vectors (the border coefficient is the same on both grids).  Products,
+norms and the projection come from the pencil's pieces, T by the FFT
+and G and R in O(K).  It solves the given pencil directly instead at a
+stride of 1 and on two exits: a coarse vector that has not decayed to
+_DECAYED of its peak at both ends (a state the grid's end truncates),
+and Ritz pairs that miss the residual contract or whose residual is
+above _RITZ_RESIDUAL.  The memory check in ``_Pencil.dense_left`` guards
+the one dense matrix that is built: the nested grid's on the two-grid
+path, the given grid's on the direct one.
 """
 
 from __future__ import annotations
@@ -195,77 +197,119 @@ def _toeplitz_times(column: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _LeftStructure:
-    """The pencil's left matrix by its pieces: the symmetric Toeplitz block
-    T[i, j] = column[|i - j|] = -d2/a^2, plus diag(g), less the shift
-    diag(sigma u), and at alpha = 1/2 the border row and column
-    ``border`` = g omega - omega'' with ``corner`` at (K, K).
+class _Arrowhead:
+    """The symmetric n x n matrix with diagonal ``d`` and, at alpha = 1/2,
+    the border row and column ``border`` with ``corner`` at (K, K), so
+    n = K + 1; without a border n = K.  Applied as O(K) array operations."""
 
-    ``dense`` fills the n x n matrix the eigensolve factors; the product
-    and the infinity norm of the residual contract, and the Rayleigh-Ritz
-    projection ``form``, come from the pieces alone, in O(K log K) per
-    column and O(K).
+    d: np.ndarray
+    border: np.ndarray | None = None
+    corner: float = 0.0
+
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        """self @ V for an n-vector or an n x k array V."""
+        K = self.d.size
+        X = V[:K]
+        d = self.d if V.ndim == 1 else self.d[:, None]
+        if self.border is None:
+            return d * X
+        out = np.empty(V.shape)
+        out[:K] = d * X + (self.border if V.ndim == 1 else self.border[:, None]) * V[K]
+        out[K] = self.border @ X + self.corner * V[K]
+        return out
+
+    def norm_inf(self, rows: np.ndarray | None = None) -> float:
+        """max_i sum_j |self[i, j]|, or that of the matrix with the same
+        border and corner whose first K rows, the border column left out,
+        sum in magnitude to ``rows``."""
+        rows = np.abs(self.d) if rows is None else rows
+        if self.border is None:
+            return float(rows.max())
+        rows = rows + np.abs(self.border)
+        return float(max(rows.max(), np.sum(np.abs(self.border)) + abs(self.corner)))
+
+
+@dataclass(frozen=True)
+class _Pencil:
+    """The pencil of a problem as it is solved (module docstring):
+
+        left = T + G - sigma diag(u),    right = R,
+
+    T the Toeplitz block T[i, j] = column[|i - j|] = -d2/a^2, G the
+    arrowhead of g (border g omega - omega'', corner sum omega'^2 + g omega^2)
+    and R that of u (border u omega, corner sum u omega^2).  ``dense_left``
+    is the one dense build; products, norms and the Rayleigh-Ritz
+    projection come from the pieces, in O(K log K) per column and O(K).
     """
 
     column: np.ndarray
     a: float
-    g: np.ndarray
-    shift: np.ndarray
-    border: np.ndarray | None
-    corner: float
+    sigma: float
+    G: _Arrowhead
+    R: _Arrowhead
 
     @classmethod
-    def of(cls, problem: CollocationProblem, sigma: float) -> _LeftStructure:
+    def of(cls, problem: CollocationProblem) -> _Pencil:
+        """The pencil of ``problem``, shifted by sigma = max(0, min g/u) when
+        unbordered and by 0 when bordered: a lower bound on the lowest level
+        (module docstring).  The one place the shift and the border are
+        formed."""
         a = problem.grid.a
         column = -_d2_column(problem.grid.size) / a**2
         u, w, g = problem.weight, problem.omega, problem.g
         if w is None:
-            return cls(column, a, g, sigma * u, None, 0.0)
+            return cls(column, a, max(0.0, float(np.min(g / u))), _Arrowhead(g), _Arrowhead(u))
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
-        return cls(column, a, g, sigma * u, g * w - ddw, float(np.sum(dw * dw + g * w * w)))
+        return cls(column, a, 0.0,
+                   _Arrowhead(g, g * w - ddw, float(np.sum(dw * dw + g * w * w))),
+                   _Arrowhead(u, u * w, float(np.sum(u * w * w))))
 
-    def dense(self) -> np.ndarray:
+    def dense_left(self) -> np.ndarray:
         """The n x n left matrix, Fortran-ordered for LAPACK, with T copied
-        into it from a strided view of the column, so no K x K temporary."""
-        K = self.column.size
-        left = np.empty((K if self.border is None else K + 1,) * 2, order="F")
+        into it from a strided view of the column, so no K x K temporary.
+        The only dense build of a pencil, so its memory check guards
+        whichever one is factored: a left larger than the machine's physical
+        memory is a ValueError, raised before anything is allocated."""
+        K, G = self.column.size, self.G
+        n = K if G.border is None else K + 1
+        need, have = 8 * n * n, _physical_memory_bytes()
+        if need > have:
+            raise ValueError(f"the dense pencil at K = {K} needs {need / 1e9:.3g} GB, but this "
+                             f"machine has {have / 1e9:.3g} GB of memory; reduce M")
+        left = np.empty((n, n), order="F")
         # window i of [column[K-1..1], column] read backwards is row i of T
         symmetric = np.concatenate((self.column[:0:-1], self.column))
         left[:K, :K] = sliding_window_view(symmetric, K)[:, ::-1]
-        if self.border is not None:
-            left[K, :K] = left[:K, K] = self.border
-            left[K, K] = self.corner
+        if G.border is not None:
+            left[K, :K] = left[:K, K] = G.border
+            left[K, K] = G.corner
         diag = np.arange(K)
         # g, then the shift: T + (g - sigma u) would round the diagonal differently
-        left[diag, diag] += self.g
-        left[diag, diag] -= self.shift
+        left[diag, diag] += G.d
+        left[diag, diag] -= self.sigma * self.R.d
         return left
 
-    def __matmul__(self, V: np.ndarray) -> np.ndarray:
-        """left @ V for an n x k array V: T by the FFT (``_toeplitz_times``),
-        then diag(g) and the border."""
-        K = self.column.size
-        X = V[:K]
-        out = _toeplitz_times(self.column, X)
-        out += (self.g - self.shift)[:, None] * X
-        if self.border is None:
-            return out
-        out += self.border[:, None] * V[K][None, :]
-        return np.vstack((out, self.border @ X + self.corner * V[K]))
+    def _left_rest(self) -> _Arrowhead:
+        """left - T = G - sigma diag(u)."""
+        return _Arrowhead(self.G.d - self.sigma * self.R.d, self.G.border, self.G.corner)
 
-    def norm_inf(self) -> float:
-        """max_i sum_j |left[i, j]|, exactly: with C = cumsum |column|, row
-        i of T + diag(g - sigma u) sums to |column[0] + g_i - sigma u_i|
+    def left_times(self, V: np.ndarray) -> np.ndarray:
+        """left @ V for an n x k array V: T by the FFT (``_toeplitz_times``),
+        the rest as an arrowhead."""
+        out = self._left_rest() @ V
+        out[:self.column.size] += _toeplitz_times(self.column, V[:self.column.size])
+        return out
+
+    def left_norm(self) -> float:
+        """||left||_inf, exactly: with C = cumsum |column|, row i of
+        T + diag(g - sigma u) sums to |column[0] + g_i - sigma u_i|
         + (C[i] - C[0]) + (C[K - 1 - i] - C[0])."""
         C = np.cumsum(np.abs(self.column))
-        rows = np.abs(self.column[0] + self.g - self.shift) + (C - C[0]) + (C[::-1] - C[0])
-        if self.border is None:
-            return float(rows.max())
-        rows += np.abs(self.border)
-        return float(max(rows.max(), np.sum(np.abs(self.border)) + abs(self.corner)))
+        return self.G.norm_inf(np.abs(self.column[0] + self.G.d - self.sigma * self.R.d)
+                               + (C - C[0]) + (C[::-1] - C[0]))
 
-    def form(self, X: np.ndarray) -> np.ndarray:
+    def left_form(self, X: np.ndarray) -> np.ndarray:
         """X^T left X for an n x k array X whose Toeplitz rows are smooth, to
         rounding in the size of the result rather than of ||left|| ||X||^2.
 
@@ -286,92 +330,17 @@ class _LeftStructure:
         weights[[0, -1]] = 1.0  # ... but 0 and pi
         symbol = weights * np.square(theta) / (L * self.a**2)
         out = (spectra.conj().T @ (symbol[:, None] * spectra)).real
-        out += X[:K].T @ ((self.g - self.shift)[:, None] * X[:K])
-        if self.border is None:
-            return out
-        cross = np.outer(X[K], self.border @ X[:K])
-        return out + cross + cross.T + self.corner * np.outer(X[K], X[K])
+        return out + X.T @ (self._left_rest() @ X)
 
+    def eigh(self, count: int) -> EigenDecomposition:
+        """The lowest ``count`` pairs, from the dense left matrix."""
+        return eigh_pencil(self.dense_left(), count, self.left_times, self.left_norm(),
+                           self.R.__matmul__, self.R.norm_inf())
 
-@dataclass(frozen=True)
-class _RightStructure:
-    """The pencil's right matrix by its pieces: diag(u), and at alpha = 1/2
-    the arrowhead of the border row and column ``border`` = u omega with
-    ``corner`` = sum u omega^2 at (K, K).  Its product and infinity norm are
-    O(K) array operations; ``dense`` is for checks only."""
-
-    u: np.ndarray
-    border: np.ndarray | None
-    corner: float
-
-    @classmethod
-    def of(cls, problem: CollocationProblem) -> _RightStructure:
-        u, w = problem.weight, problem.omega
-        if w is None:
-            return cls(u, None, 0.0)
-        border = u * w
-        return cls(u, border, float(np.sum(border * w)))
-
-    def __matmul__(self, V: np.ndarray) -> np.ndarray:
-        """right @ V for an n-vector or an n x k array V."""
-        K = self.u.size
-        X = V[:K]
-        u = self.u if V.ndim == 1 else self.u[:, None]
-        if self.border is None:
-            return u * X
-        out = np.empty(V.shape)
-        out[:K] = u * X + (self.border if V.ndim == 1 else self.border[:, None]) * V[K]
-        out[K] = self.border @ X + self.corner * V[K]
-        return out
-
-    def norm_inf(self) -> float:
-        """max_i sum_j |right[i, j]|."""
-        if self.border is None:
-            return float(np.max(np.abs(self.u)))
-        rows = np.abs(self.u) + np.abs(self.border)
-        return float(max(rows.max(), np.sum(np.abs(self.border)) + abs(self.corner)))
-
-    def dense(self) -> np.ndarray:
-        """The n x n right matrix."""
-        K = self.u.size
-        right = np.diag(self.u if self.border is None else np.append(self.u, self.corner))
-        if self.border is not None:
-            right[K, :K] = right[:K, K] = self.border
-        return right
-
-
-def _pencil_matrices(problem: CollocationProblem, sigma: float) -> tuple[
-        np.ndarray, _RightStructure, Callable[[np.ndarray], np.ndarray], float]:
-    """The (possibly bordered) pencil shifted by sigma: the dense left
-    matrix less sigma diag(u), Fortran-ordered for LAPACK, the right one,
-    unshifted, by its pieces, and the product V -> left @ V and ||left||_inf
-    of the residual contract for the same shifted left, computed from
-    ``_LeftStructure`` without the dense matrix.  Only the unbordered
-    pencil, whose right is diag(u), is shifted by a nonzero sigma
-    (``_safe_shift``).
-
-    A left matrix larger than the machine's physical memory is a
-    ValueError, raised before anything is allocated.  This is the only
-    place a dense matrix of the pencil is built, so the check guards
-    whichever pencil is factored: the nested one of the two-grid solve,
-    or the given one when it is solved directly.
-    """
-    K = problem.grid.size
-    n = K if problem.omega is None else K + 1
-    need, have = 8 * n * n, _physical_memory_bytes()
-    if need > have:
-        raise ValueError(f"the dense pencil at K = {K} needs {need / 1e9:.3g} GB, but this "
-                         f"machine has {have / 1e9:.3g} GB of memory; reduce M")
-    left = _LeftStructure.of(problem, sigma)
-    return left.dense(), _RightStructure.of(problem), left.__matmul__, left.norm_inf()
-
-
-def _safe_shift(problem: CollocationProblem) -> float:
-    """sigma = max(0, min g/u) for the unbordered pencil, 0 for the bordered
-    one: a lower bound on the lowest level (see module docstring)."""
-    if problem.omega is not None:
-        return 0.0
-    return max(0.0, float(np.min(problem.g / problem.weight)))
+    def ritz(self, X: np.ndarray) -> EigenDecomposition:
+        """The Rayleigh-Ritz pairs on the columns of the n x k array X."""
+        return ritz_pencil(X, self.left_times, self.left_norm(), self.left_form,
+                           self.R.__matmul__, self.R.norm_inf())
 
 
 def _positive_peak(vec: np.ndarray) -> np.ndarray:
@@ -379,13 +348,6 @@ def _positive_peak(vec: np.ndarray) -> np.ndarray:
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec
     return vec
-
-
-def _direct(problem: CollocationProblem, count: int, sigma: float) -> EigenDecomposition:
-    """The lowest ``count`` pairs of the pencil shifted by sigma, from its
-    dense left matrix."""
-    left, right, left_times, left_norm = _pencil_matrices(problem, sigma)
-    return eigh_pencil(left, count, left_times, left_norm, right.__matmul__, right.norm_inf())
 
 
 def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
@@ -412,21 +374,21 @@ def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
     return X
 
 
-def _two_grid(problem: CollocationProblem, count: int, sigma: float,
+def _two_grid(problem: CollocationProblem, pencil: _Pencil, count: int,
               stride: int) -> EigenDecomposition | None:
-    """The lowest ``count`` pairs of the pencil shifted by sigma, by
-    Rayleigh-Ritz on the coarse pairs of the nested grid of step stride*a
-    (module docstring), or None where that basis does not hold them: a
-    coarse solve that fails, a coarse vector that has not decayed at both
-    ends, or Ritz pairs that miss the residual contract or have a residual
-    above _RITZ_RESIDUAL."""
+    """The lowest ``count`` pairs of ``pencil``, the pencil of ``problem``,
+    by Rayleigh-Ritz on the coarse pairs of the nested grid of step
+    stride*a (module docstring), or None where that basis does not hold
+    them: a coarse solve that fails, a coarse vector that has not decayed
+    at both ends, or Ritz pairs that miss the residual contract or have a
+    residual above _RITZ_RESIDUAL."""
     grid = problem.grid
     if grid.M // stride + grid.N // stride + 1 < count:  # the nested grid's size
         return None
     coarse = assemble(grid.nested(stride), problem.potential)
     Kc = coarse.grid.size
     try:
-        V = _direct(coarse, count, _safe_shift(coarse)).eigenvectors
+        V = _Pencil.of(coarse).eigh(count).eigenvectors
     except EigenSolveError:
         return None
     peaks = np.max(np.abs(V[:Kc]), axis=0)
@@ -437,10 +399,8 @@ def _two_grid(problem: CollocationProblem, count: int, sigma: float,
     X = _lift(V[:Kc], stride, grid.M - coarse.grid.M * stride, grid.size)
     if coarse.omega is not None:
         X = np.vstack((X, V[Kc]))
-    left, right = _LeftStructure.of(problem, sigma), _RightStructure.of(problem)
     try:
-        ritz = ritz_pencil(X, left.__matmul__, left.norm_inf(), left.form, right.__matmul__,
-                           right.norm_inf())
+        ritz = pencil.ritz(X)
     except EigenSolveError:
         return None
     return ritz if np.max(ritz.residuals) <= _RITZ_RESIDUAL else None
@@ -450,10 +410,10 @@ def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
     """Return the ``count`` lowest eigenpairs, sorted ascending.
 
     The pairs are those of the symmetric pencil (see module docstring),
-    solved shifted by sigma = ``_safe_shift(problem)``, which is added
-    back to each eigenvalue: on a step a below _COARSE_STEP / 2 by the
-    two-grid solve, and otherwise, or where that does not hold the pairs,
-    directly.  Coefficient vectors are the nodal values f(x_m),
+    built once as ``_Pencil.of(problem)`` with its shift sigma, which is
+    added back to each eigenvalue: on a step a below _COARSE_STEP / 2 by
+    the two-grid solve, and otherwise, or where that does not hold the
+    pairs, directly.  Coefficient vectors are the nodal values f(x_m),
     sign-normalized so the largest-magnitude entry is positive.  A left
     matrix that is not positive definite, which means a non-positive
     lowest level, is an EigenSolveError, and so is a requested eigenvalue
@@ -462,17 +422,17 @@ def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
     grid = problem.grid
     K = grid.size
     _validate_count(count, K)
-    sigma = _safe_shift(problem)
+    pencil = _Pencil.of(problem)
     stride = max(1, int(_COARSE_STEP / grid.a))
-    decomp = _two_grid(problem, count, sigma, stride) if stride > 1 else None
+    decomp = _two_grid(problem, pencil, count, stride) if stride > 1 else None
     if decomp is None:
-        decomp = _direct(problem, count, sigma)
+        decomp = pencil.eigh(count)
     V = decomp.eigenvectors
     nodal = V[:K]
     if problem.omega is not None:
         nodal = nodal + problem.omega[:, None] * V[K][None, :]
     f = nodal / np.sqrt(grid.phi1)[:, None]
-    return [EigenPair(eigenvalue=float(sigma + lam), coefficients=_positive_peak(f[:, j]),
+    return [EigenPair(eigenvalue=float(pencil.sigma + lam), coefficients=_positive_peak(f[:, j]),
                       residual=float(decomp.residuals[j]))
             for j, lam in enumerate(decomp.eigenvalues)]
 

@@ -1,5 +1,6 @@
 """Independent test oracles: shooting integrator, characteristic polynomial,
-and a literal index-by-index transcription of the collocation matrix.
+a literal index-by-index transcription of the collocation matrix, and the
+dense right matrix of the symmetric pencil.
 
 Everything here deliberately avoids the library's own code paths (except
 for plain float helpers) so that agreement is meaningful.
@@ -133,6 +134,21 @@ def literal_collocation_matrix(potential, alpha, beta, d, M):
                 pot = 0.0
             A[i, j] = pot + e2m / a * d1 - (1.0 + e2m) / a**2 * d2
     return A
+
+
+def dense_right(weight, omega):
+    """The pencil's n x n right matrix, written out from u = ``weight`` and
+    the boundary function ``omega``: diag(u) when ``omega`` is None, and
+    otherwise diag(u) bordered by the row and column u omega with
+    sum(u omega^2) at (K, K)."""
+    K = weight.size
+    if omega is None:
+        return np.diag(weight)
+    right = np.zeros((K + 1, K + 1))
+    right[np.arange(K), np.arange(K)] = weight
+    right[K, :K] = right[:K, K] = weight * omega
+    right[K, K] = np.sum(weight * omega * omega)
+    return right
 
 
 def count_sign_changes(values, rel_threshold=1e-8):

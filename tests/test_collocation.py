@@ -20,7 +20,7 @@ from sinccol import (
 )
 from sinccol.sinc import SincGrid
 
-from oracles import count_sign_changes, shooting_eigenvalues
+from oracles import count_sign_changes, dense_right, shooting_eigenvalues
 
 D4 = math.pi / 4
 
@@ -146,10 +146,10 @@ class TestSolve:
                                                                       monkeypatch):
         import sinccol.collocation as collocation
 
-        def no_build(problem, sigma):
+        def no_build(problem):
             raise AssertionError("the pencil was built")
 
-        monkeypatch.setattr(collocation, "_pencil_matrices", no_build)
+        monkeypatch.setattr(collocation._Pencil, "of", staticmethod(no_build))
         problem, _ = log_l1
         with pytest.raises(ValueError, match="count must be an integer"):
             solve(problem, count)
@@ -164,14 +164,19 @@ class TestSolve:
     def test_pencil_larger_than_memory_is_refused(self, monkeypatch):
         import sinccol.collocation as collocation
 
-        def fail_to_allocate(*args, **kwargs):
-            raise AssertionError("the pencil was allocated")
+        def refusing(allocate):
+            def allocate_small(shape, *args, **kwargs):
+                if np.prod(shape) >= 10**6:
+                    raise AssertionError("the pencil was allocated")
+                return allocate(shape, *args, **kwargs)
+            return allocate_small
 
         # l = 4, M = 2500: K = 13751 at a = 0.021, so solve factors only the
         # nested pencil of stride 9, K = 1528, 18.7 MB against a pretended 10 MB
         monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**7)
         problem = flagship_problem(4, M=2500)
-        monkeypatch.setattr(collocation.np, "zeros", fail_to_allocate)
+        for name in ("zeros", "empty"):
+            monkeypatch.setattr(collocation.np, name, refusing(getattr(collocation.np, name)))
         with pytest.raises(ValueError,
                            match=r"pencil at K = 1528 needs 0\.0187 GB.* has 0\.01 GB.*reduce M"):
             solve(problem, 5)
@@ -191,13 +196,13 @@ class TestSolve:
         import sinccol.collocation as collocation
 
         calls = []
-        build = collocation._pencil_matrices
+        build = collocation._Pencil.dense_left
 
-        def counted(problem, sigma):
-            calls.append(problem)
-            return build(problem, sigma)
+        def counted(pencil):
+            calls.append(pencil)
+            return build(pencil)
 
-        monkeypatch.setattr(collocation, "_pencil_matrices", counted)
+        monkeypatch.setattr(collocation._Pencil, "dense_left", counted)
         pairs = solve(flagship_problem(0, M=25), 5)
         assert len(pairs) == 5
         assert len(calls) == 1
@@ -269,7 +274,12 @@ class TestReconstruct:
         assert np.array_equal(got.ravel(), reconstruct(grid, pairs[0], xs))
 
 
-class TestLeftStructure:
+def unshifted(pencil):
+    """``pencil`` with sigma = 0."""
+    return dataclasses.replace(pencil, sigma=0.0)
+
+
+class TestPencilLeft:
     """The residual contract's product and norm, computed from the pencil's
     Toeplitz, diagonal and border pieces, against the dense left matrix."""
 
@@ -278,29 +288,29 @@ class TestLeftStructure:
     def test_product_and_norm_match_the_dense_matrix(self, l, M):
         from scipy.linalg import lapack
 
-        from sinccol.collocation import _pencil_matrices, _safe_shift
+        from sinccol.collocation import _Pencil
 
         problem = flagship_problem(l, M=M)
+        pencil = _Pencil.of(problem)
         # the unshifted pencil, and the shifted one that solve factors
-        for sigma in (0.0, _safe_shift(problem)):
-            left, _, times, norm = _pencil_matrices(problem, sigma)
+        for p in (unshifted(pencil), pencil):
+            left = p.dense_left()
             n = left.shape[0]
             # l = 0 is bordered with the boundary function
             assert n == problem.grid.size + (l == 0)
             V = np.random.default_rng(l * 1000 + M).standard_normal((n, 5))
             dense = left @ V
-            assert np.max(np.abs(times(V) - dense)) <= 1e-14 * np.max(np.abs(dense))
-            assert norm == pytest.approx(lapack.dlange("I", left), rel=1e-14, abs=0.0)
+            assert np.max(np.abs(p.left_times(V) - dense)) <= 1e-14 * np.max(np.abs(dense))
+            assert p.left_norm() == pytest.approx(lapack.dlange("I", left), rel=1e-14, abs=0.0)
 
 
     @pytest.mark.parametrize("l", [0, 1, 4])
     def test_form_matches_the_dense_projection_for_smooth_columns(self, l):
-        from sinccol.collocation import _LeftStructure, _pencil_matrices, _safe_shift
+        from sinccol.collocation import _Pencil
 
-        problem = flagship_problem(l, M=100)
-        sigma = _safe_shift(problem)
-        left = _pencil_matrices(problem, sigma)[0].astype(np.longdouble)
-        K = problem.grid.size
+        pencil = _Pencil.of(flagship_problem(l, M=100))
+        left = pencil.dense_left().astype(np.longdouble)
+        K = pencil.column.size
         # Gaussian bumps some 10 nodes wide, and at l = 0 a border coefficient
         m = np.arange(K)[:, None]
         X = np.exp(-np.square((m - np.array([0.3, 0.5, 0.7]) * K) / 10.0))
@@ -308,7 +318,7 @@ class TestLeftStructure:
             X = np.vstack((X, [0.5, -1.0, 2.0]))
         XL = X.astype(np.longdouble)
         want = np.asarray(XL.T @ (left @ XL), dtype=float)
-        got = _LeftStructure.of(problem, sigma).form(X)
+        got = pencil.left_form(X)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -317,40 +327,41 @@ class TestLeftStructure:
     def test_dense_is_bit_identical_to_the_toeplitz_build(self, l, M):
         from scipy.linalg import toeplitz
 
-        from sinccol.collocation import _LeftStructure, _safe_shift
+        from sinccol.collocation import _Pencil
 
         problem = flagship_problem(l, M=M)
-        structure = _LeftStructure.of(problem, _safe_shift(problem))
-        K = problem.grid.size
+        pencil = _Pencil.of(problem)
+        G, K = pencil.G, problem.grid.size
         # the build the in-place fill replaced: a K x K toeplitz, copied into
         # a zeroed (K + 1) x (K + 1) array when bordered
-        want = toeplitz(structure.column).T
-        if structure.border is not None:
+        want = toeplitz(pencil.column).T
+        if G.border is not None:
             block, want = want, np.zeros((K + 1, K + 1), order="F")
             want[:K, :K] = block
-            want[K, :K] = want[:K, K] = structure.border
-            want[K, K] = structure.corner
+            want[K, :K] = want[:K, K] = G.border
+            want[K, K] = G.corner
         diag = np.arange(K)
-        want[diag, diag] += structure.g
-        want[diag, diag] -= structure.shift
-        got = structure.dense()
+        want[diag, diag] += G.d
+        want[diag, diag] -= pencil.sigma * problem.weight
+        got = pencil.dense_left()
         assert got.flags.f_contiguous
         assert got.shape == (K + (l == 0),) * 2
         assert np.array_equal(got, want)
 
 
-class TestRightStructure:
+class TestPencilRight:
     """The right matrix's product and norm from diag(u) and, at alpha = 1/2,
-    its arrowhead border, against its dense form."""
+    its arrowhead border, against its dense form written out from u and
+    omega."""
 
     @pytest.mark.parametrize("M", [1, 2, 25, 100])
     @pytest.mark.parametrize("l", [0, 1, 4])
     def test_product_and_norm_match_the_dense_matrix(self, l, M):
-        from sinccol.collocation import _RightStructure
+        from sinccol.collocation import _Pencil
 
         problem = flagship_problem(l, M=M)
-        right = _RightStructure.of(problem)
-        dense = right.dense()
+        right = _Pencil.of(problem).R
+        dense = dense_right(problem.weight, problem.omega)
         n = dense.shape[0]
         assert n == problem.grid.size + (l == 0)
         V = np.random.default_rng(l * 1000 + M).standard_normal((n, 5))
@@ -363,10 +374,11 @@ class TestRightStructure:
         assert right.norm_inf() == pytest.approx(np.abs(dense).sum(1).max(), rel=1e-15, abs=0.0)
 
 
-class TestSafeShift:
-    """solve factors left - sigma diag(u) with sigma = max(0, min g/u): the
-    Toeplitz part -d2/a^2 is positive definite and diag(g - sigma u) is
-    nonnegative, so sigma lies below the lowest level."""
+class TestPencilShift:
+    """The pencil's left matrix is left - sigma diag(u) with
+    sigma = max(0, min g/u): the Toeplitz part -d2/a^2 is positive definite
+    and diag(g - sigma u) is nonnegative, so sigma lies below the lowest
+    level."""
 
     @pytest.mark.parametrize("K", [39, 551])
     def test_sinc_second_derivative_is_positive_definite(self, K):
@@ -381,50 +393,47 @@ class TestSafeShift:
     @pytest.mark.parametrize("M", [25, 100, 500])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_shift_lies_below_the_lowest_level(self, l, M):
-        from sinccol import eigh_pencil
-        from sinccol.collocation import _pencil_matrices, _safe_shift
+        from sinccol.collocation import _Pencil
 
         problem = flagship_problem(l, M=M)
-        sigma = _safe_shift(problem)
+        pencil = _Pencil.of(problem)
+        sigma = pencil.sigma
         assert sigma > 0.0
         assert np.all(problem.g - sigma * problem.weight >= 0.0)
-        left, right, times, norm = _pencil_matrices(problem, 0.0)
-        assert sigma <= eigh_pencil(left, 1, times, norm, right.__matmul__,
-                                    right.norm_inf()).eigenvalues[0]
+        assert sigma <= unshifted(pencil).eigh(1).eigenvalues[0]
 
     @pytest.mark.parametrize("l", [1, 4])
     def test_solve_adds_the_shift_to_the_shifted_pencil(self, l):
-        from sinccol import eigh_pencil
-        from sinccol.collocation import _pencil_matrices, _safe_shift
+        from sinccol.collocation import _Pencil
 
         problem = flagship_problem(l, M=100)
-        sigma = _safe_shift(problem)
-        left, right, times, norm = _pencil_matrices(problem, sigma)
-        plain = _pencil_matrices(problem, 0.0)[0]
+        pencil = _Pencil.of(problem)
+        sigma = pencil.sigma
+        left = pencil.dense_left()
+        plain = unshifted(pencil).dense_left()
         diag = np.arange(problem.grid.size)
         plain[diag, diag] -= sigma * problem.weight
         assert np.array_equal(left, plain)
-        want = sigma + eigh_pencil(left, 5, times, norm, right.__matmul__,
-                                   right.norm_inf()).eigenvalues
+        want = sigma + pencil.eigh(5).eigenvalues
         assert np.array_equal([p.eigenvalue for p in solve(problem, 5)], want)
 
     def test_bordered_pencil_is_not_shifted(self):
-        from sinccol.collocation import _safe_shift
+        from sinccol.collocation import _Pencil
 
         # at alpha = 1/2 the flagship g/u tends to -inf, and the border is
         # no part of the Toeplitz block whatever g is: x^2 + 5 on such a grid
         # (the odd oscillator levels 3, 7, 11, raised by 5) has min g/u > 5
-        assert _safe_shift(flagship_problem(0, M=100)) == 0.0
+        assert _Pencil.of(flagship_problem(0, M=100)).sigma == 0.0
         problem = assemble(build_grid(0.5, 1.0, D4, 100), lambda x: x**2 + 5.0)
         assert problem.omega is not None
         assert np.min(problem.g / problem.weight) > 5.0
-        assert _safe_shift(problem) == 0.0
+        assert _Pencil.of(problem).sigma == 0.0
         got = [p.eigenvalue for p in solve(problem, 3)]
         assert np.allclose(got, [8.0, 12.0, 16.0], atol=1e-8)
 
     def test_shift_cuts_the_lanczos_steps(self, monkeypatch):
         import sinccol.dense_eig as dense_eig
-        from sinccol.collocation import _pencil_matrices
+        from sinccol.collocation import _Pencil
 
         steps = []
         operator = dense_eig.LinearOperator
@@ -436,8 +445,7 @@ class TestSafeShift:
         problem = flagship_problem(4, M=100)
         solve(problem, 5)
         shifted, steps[:] = len(steps), []
-        left, right, times, norm = _pencil_matrices(problem, 0.0)
-        dense_eig.eigh_pencil(left, 5, times, norm, right.__matmul__, right.norm_inf())
+        unshifted(_Pencil.of(problem)).eigh(5)
         # 47 against 87 operator applications when written
         assert shifted <= 60 < len(steps)
 
@@ -468,13 +476,13 @@ class TestTwoGrid:
         import sinccol.collocation as collocation
 
         built = []
-        build = collocation._pencil_matrices
+        build = collocation._Pencil.dense_left
 
-        def counted(problem, sigma):
-            built.append(problem.grid.size)
-            return build(problem, sigma)
+        def counted(pencil):
+            built.append(pencil.column.size)
+            return build(pencil)
 
-        monkeypatch.setattr(collocation, "_pencil_matrices", counted)
+        monkeypatch.setattr(collocation._Pencil, "dense_left", counted)
         return built
 
     @pytest.mark.parametrize("M", [150, 200, 500, 1000])
@@ -499,6 +507,27 @@ class TestTwoGrid:
         built = self.counted_pencils(monkeypatch)
         solve(problem, 5)
         assert built == [problem.grid.nested(3).size]
+
+    def test_bordered_pencil_takes_the_two_grid_path(self, monkeypatch):
+        import sinccol.collocation as collocation
+        from sinccol import solve_states
+
+        # l = 0, M = 1500: a = 0.081, stride 2, coarse step 0.162, Ritz
+        # residual 2.1e-14; the only solve here whose left_form has a border.
+        # At M = 1000 (coarse step 0.199, residual 5.6e-12) it falls back.
+        with monkeypatch.context() as patch:
+            patch.setattr(collocation, "_COARSE_STEP", 0.0)
+            want = solve_states(0, 5, M=1500)
+        built = self.counted_pencils(monkeypatch)
+        got = solve_states(0, 5, M=1500)
+        grid = got[0].grid
+        assert grid.alpha == 0.5 and grid.size == want[0].grid.size
+        assert built == [grid.nested(2).size]
+        # 3.2e-14 in the levels and 1.2e-13 of the peak when written
+        for g, w in zip(got, want):
+            assert abs(g.eigenvalue / w.eigenvalue - 1.0) <= 2e-13
+            peak = np.max(np.abs(w.coefficients))
+            assert np.max(np.abs(g.coefficients - w.coefficients)) <= 1e-12 * peak
 
     def test_a_step_above_half_the_coarse_step_is_solved_directly(self, monkeypatch):
         # l = 4, M = 100: a = 0.148, stride 1
@@ -604,7 +633,7 @@ class TestLift:
 
     @pytest.mark.parametrize("M", [150, 300, 500, 1000])
     def test_matches_interpolate_on_the_coarse_states(self, M):
-        from sinccol.collocation import _COARSE_STEP, _direct, _safe_shift
+        from sinccol.collocation import _COARSE_STEP, _Pencil
         from sinccol.sinc import interpolate
 
         # the vectors the two-grid solve lifts: five coarse states, at the
@@ -615,7 +644,7 @@ class TestLift:
             grid = unaligned_window(problem.grid, stride)
             coarse = assemble(grid.nested(stride), problem.potential)
             Kc = coarse.grid.size
-            V = _direct(coarse, 5, _safe_shift(coarse)).eigenvectors[:Kc]
+            V = _Pencil.of(coarse).eigh(5).eigenvectors[:Kc]
             X = self.lifted(coarse.grid, grid, stride, V)
             want = np.array([interpolate(coarse.grid, v, grid.points) for v in V.T]).T
             peaks = np.max(np.abs(V), axis=0)

@@ -1,5 +1,7 @@
 """Tests for the dense eigensolver wrappers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,16 @@ from hypothesis.extra import numpy as npst
 from sinccol import RESIDUAL_TOL, EigenSolveError, eigh_pencil
 from sinccol.dense_eig import eig, ritz_pencil
 
-from oracles import charpoly_coefficients, charpoly_eval
+from oracles import charpoly_coefficients, charpoly_eval, dense_right
+
+
+def pencil_parts(problem, sigma=0.0):
+    """The dense left, the right arrowhead, the left product and the left
+    norm of the pencil of ``problem`` shifted by ``sigma``."""
+    from sinccol.collocation import _Pencil
+
+    pencil = dataclasses.replace(_Pencil.of(problem), sigma=sigma)
+    return pencil.dense_left(), pencil.R, pencil.left_times, pencil.left_norm()
 
 
 def sorted_eigs(w):
@@ -201,21 +212,21 @@ class TestPencil:
         import scipy.linalg
 
         from sinccol import flagship_problem
-        from sinccol.collocation import _pencil_matrices
 
         problem = flagship_problem(l, M=100)
-        left, right, times, norm = _pencil_matrices(problem, 0.0)
+        left, right, times, norm = pencil_parts(problem)
+        dense = dense_right(problem.weight, problem.omega)
         K, n = problem.grid.size, left.shape[0]
         # l = 0 is bordered: right is diag(u) plus one border row and column
         arrowhead = np.eye(n, dtype=bool)
         arrowhead[n - 1] = arrowhead[:, n - 1] = l == 0
         arrowhead[n - 1, n - 1] = True
-        assert np.array_equal(right.dense() != 0.0, arrowhead)
-        assert np.count_nonzero(right.dense()) == (3 * K + 1 if l == 0 else K)
-        mu = scipy.linalg.eigh(right.dense(), left, eigvals_only=True)
-        dense = np.sort(1.0 / mu[mu > 0.0])[:5]
+        assert np.array_equal(dense != 0.0, arrowhead)
+        assert np.count_nonzero(dense) == (3 * K + 1 if l == 0 else K)
+        mu = scipy.linalg.eigh(dense, left, eigvals_only=True)
+        want = np.sort(1.0 / mu[mu > 0.0])[:5]
         dec = eigh_pencil(left, 5, times, norm, right.__matmul__, right.norm_inf())
-        assert np.allclose(dec.eigenvalues, dense, rtol=1e-12, atol=0.0)
+        assert np.allclose(dec.eigenvalues, want, rtol=1e-12, atol=0.0)
         assert np.all(dec.residuals <= RESIDUAL_TOL)
 
     def test_repeated_solves_are_bit_identical(self):
@@ -227,9 +238,8 @@ class TestPencil:
     @staticmethod
     def flagship_pencil(l, M):
         from sinccol import flagship_problem
-        from sinccol.collocation import _pencil_matrices
 
-        return _pencil_matrices(flagship_problem(l, M=M), 0.0)
+        return pencil_parts(flagship_problem(l, M=M))
 
     def test_repeated_flagship_solves_are_bit_identical(self):
         # n = 1101, large enough for OpenBLAS to thread the Cholesky factorization
@@ -324,15 +334,15 @@ class TestPencil:
         import scipy.linalg
 
         from sinccol import dense_eig, flagship_problem, solve
-        from sinccol.collocation import _pencil_matrices
 
         def no_lanczos(*args, **kwargs):
             raise AssertionError("Lanczos called for count >= n - 1")
 
         problem = flagship_problem(l, M=M)
-        left, right, _, _ = _pencil_matrices(problem, 0.0)
+        left = pencil_parts(problem)[0]
         n = left.shape[0]
-        mu = scipy.linalg.eigh(right.dense(), left, eigvals_only=True)
+        mu = scipy.linalg.eigh(dense_right(problem.weight, problem.omega), left,
+                               eigvals_only=True)
         reference = np.sort(1.0 / mu[mu > 0.0])
         monkeypatch.setattr(dense_eig, "eigsh", no_lanczos)
         # the bordered l = 0 pencil has n = K + 1, and solve takes at most K pairs
@@ -376,9 +386,8 @@ class TestPencil:
     @pytest.mark.parametrize("l", [0, 4])
     def test_perturbed_product_breaks_the_contract(self, l):
         from sinccol import flagship_problem
-        from sinccol.collocation import _pencil_matrices
 
-        left, right, times, norm = _pencil_matrices(flagship_problem(l, M=25), 0.0)
+        left, right, times, norm = pencil_parts(flagship_problem(l, M=25))
 
         def perturbed(V):
             product = times(V)
@@ -399,14 +408,14 @@ class TestPencil:
     @pytest.mark.parametrize("l", [1, 4])
     def test_shifted_pencil_matches_the_unshifted_one(self, l, count):
         from sinccol import flagship_problem
-        from sinccol.collocation import _pencil_matrices, _safe_shift
+        from sinccol.collocation import _Pencil
 
         problem = flagship_problem(l, M=100)
-        shift = _safe_shift(problem)
+        shift = _Pencil.of(problem).sigma
         assert shift > 0.0
-        left, right, times, norm = _pencil_matrices(problem, 0.0)
+        left, right, times, norm = pencil_parts(problem)
         plain = eigh_pencil(left, count, times, norm, right.__matmul__, right.norm_inf())
-        left, right, times, norm = _pencil_matrices(problem, shift)
+        left, right, times, norm = pencil_parts(problem, shift)
         shifted = eigh_pencil(left, count, times, norm, right.__matmul__, right.norm_inf())
         assert np.allclose(shift + shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
         assert np.all(shifted.residuals <= RESIDUAL_TOL)
