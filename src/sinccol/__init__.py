@@ -18,7 +18,7 @@ from .coulomb import (
     solve_states,
     state_overlap,
 )
-from .dense_eig import RESIDUAL_TOL, EigenDecomposition, EigenSolveError, eigh_pencil, ritz_pencil
+from .dense_eig import RESIDUAL_TOL, EigenDecomposition, EigenSolveError
 from .sinc import (
     SincGrid,
     build_grid,
@@ -44,7 +44,6 @@ __all__ = [
     "RESIDUAL_TOL",
     "assemble",
     "build_grid",
-    "eigh_pencil",
     "eigen_table",
     "evaluate_radial",
     "flagship_problem",
@@ -55,7 +54,6 @@ __all__ = [
     "normalize",
     "quadrature",
     "reconstruct",
-    "ritz_pencil",
     "sinc_basis",
     "solve",
     "solve_states",

@@ -38,7 +38,11 @@ matrix is positive definite: the sinc matrix -d2 has its eigenvalues in
 (0, pi^2] (Stenger, 1993) and g - sigma u >= 0.  So sigma lies below the
 lowest level, and Lanczos searches 1/(lambda - sigma), whose low end is
 far less crowded than that of 1/lambda (spectral transformation, Ericsson
-& Ruhe, Math. Comp. 35 (1980) 1251).
+& Ruhe, Math. Comp. 35 (1980) 1251).  Only two methods solve a pencil:
+``_Pencil.eigh`` hands its dense left and R to the Cholesky-Lanczos
+kernel ``dense_eig.lowest``, ``_Pencil.ritz`` solves a Rayleigh-Ritz
+projection, and both check their pairs by ``dense_eig.verified`` from
+products and norms taken from the pencil's pieces.
 
 On a grid with alpha = 1/2 (critical coupling, f ~ x^(1/2)) v tends to a
 nonzero constant as z -> -inf, which no truncated sinc sum holds.  There
@@ -85,11 +89,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 # eig is unused here; perfbench/layers.py wraps this name
-from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, eig, eigh_pencil,
-                        ritz_pencil)
+from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, eig, lowest,
+                        verified)
 from .sinc import SincGrid, _d2_column, _evaluate_on_points, build_deltas, interpolate
 
 # The two-grid solve eigensolves on the nested grid of step stride*a <= _COARSE_STEP.
@@ -333,14 +338,33 @@ class _Pencil:
         return out + X.T @ (self._left_rest() @ X)
 
     def eigh(self, count: int) -> EigenDecomposition:
-        """The lowest ``count`` pairs, from the dense left matrix."""
-        return eigh_pencil(self.dense_left(), count, self.left_times, self.left_norm(),
-                           self.R.__matmul__, self.R.norm_inf())
+        """The lowest ``count`` pairs, ascending: ``lowest`` on the dense left
+        matrix, then the residual contract from the pieces.  The dense left,
+        overwritten by its Cholesky factor, is freed before the check."""
+        lam, V = lowest(self.dense_left(), count, self.R.__matmul__)
+        return verified(lam, V, self.left_times(V), self.R @ V, self.left_norm(),
+                        self.R.norm_inf())
 
     def ritz(self, X: np.ndarray) -> EigenDecomposition:
-        """The Rayleigh-Ritz pairs on the columns of the n x k array X."""
-        return ritz_pencil(X, self.left_times, self.left_norm(), self.left_form,
-                           self.R.__matmul__, self.R.norm_inf())
+        """The Rayleigh-Ritz pairs on the span of the columns of the n x k
+        array X, ascending, verified by the residual contract.
+
+        The k x k projections ``left_form(X)`` and X^T R X form a small
+        symmetric-definite pencil, and its pairs (theta, y) give the Ritz
+        pairs (theta, X y), whose products are those of X times y, so the
+        contract costs no further product.  The pairs are the lowest only
+        when X nearly spans the lowest eigenvectors; the contract checks
+        that they are eigenpairs, not which ones.  A projection X^T R X that
+        is not positive definite is an EigenSolveError.
+        """
+        AX, BX = self.left_times(X), self.R @ X
+        small_left, small_right = self.left_form(X), X.T @ BX
+        try:
+            theta, Y = scipy.linalg.eigh((small_left + small_left.T) / 2.0,
+                                         (small_right + small_right.T) / 2.0, check_finite=False)
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise EigenSolveError(f"Rayleigh-Ritz projection failed: {exc}") from exc
+        return verified(theta, X @ Y, AX @ Y, BX @ Y, self.left_norm(), self.R.norm_inf())
 
 
 def _positive_peak(vec: np.ndarray) -> np.ndarray:

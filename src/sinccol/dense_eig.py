@@ -1,27 +1,13 @@
-"""Dense real eigensolvers with verified residuals.
+"""Dense real eigensolvers and the residual contract of their pairs.
 
 ``eig`` delegates a nonsymmetric matrix to LAPACK's dgeev (balancing,
-Hessenberg reduction, shifted QR) through scipy.  ``eigh_pencil`` finds
-the lowest pairs of a symmetric-definite pencil from the Cholesky factor
-L of its left matrix: implicitly restarted Lanczos (ARPACK, through
-``scipy.sparse.linalg.eigsh``) needs only products with the reduced
-operator, two triangular solves with L (dtrsv) each, so the K x K
-matrix is never tridiagonalized.  Only for nearly the whole spectrum,
-which ARPACK cannot return, is the reduced matrix formed from the same
-operator and diagonalized densely.  ``ritz_pencil`` needs no dense matrix
-at all: it projects the pencil onto a given basis, such as the lifted
-eigenvectors of a coarser grid's pencil, and returns the Ritz pairs.
-
-The caller passes the dense left matrix, which the solve overwrites,
-together with the product V -> left @ V and the norm ||left||_inf, which
-it computes from the matrix's structure (for the sinc pencil a Toeplitz
-product by FFT), so the residual needs no second dense matrix.  The right
-matrix is passed the same way, as its product V -> right @ V and its
-norm ||right||_inf, and never as a matrix (for the sinc pencil a
-diagonal, or an arrowhead, applied as O(n) array operations).  One
-function verifies the per-pair residual contract for all three solvers,
-``ritz_pencil`` included, on the pencil it was given: every returned
-pair must satisfy
+Hessenberg reduction, shifted QR) through scipy.  ``lowest`` is the kernel
+of a symmetric-definite pencil: the Cholesky factor of its dense left
+matrix (dpotrf) and Lanczos (ARPACK) on the reduced operator, so the
+K x K matrix is never tridiagonalized.  ``verified`` checks a pencil's
+pairs from its products with their vectors and its two norms, which the
+caller forms from the pencil's structure (``collocation._Pencil``), so
+the check needs no dense matrix.  Every pair must satisfy
 
     ||A v - lambda v||_inf <= 1e-8 * ||A||_inf * ||v||_inf
 
@@ -43,7 +29,7 @@ from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 __all__ = ["EigenDecomposition", "EigenSolveError", "InfiniteLevelError", "RESIDUAL_TOL", "eig",
-           "eigh_pencil", "ritz_pencil"]
+           "lowest", "verified"]
 
 RESIDUAL_TOL = 1e-8
 
@@ -61,10 +47,11 @@ class InfiniteLevelError(EigenSolveError):
 class EigenDecomposition:
     """Eigenpairs of a real K x K matrix or pencil.
 
-    ``eig`` returns all K pairs in no particular order, ``eigh_pencil``
-    the requested lowest ones in ascending order.  ``eigenvectors[:, j]``
-    belongs to ``eigenvalues[j]``; ``residuals[j]`` is the relative
-    infinity-norm residual of that pair.
+    ``eig`` returns all K pairs in no particular order, ``verified`` a
+    pencil's pairs in the order given, ascending from the pencil's solves
+    in ``collocation``.  ``eigenvectors[:, j]`` belongs to
+    ``eigenvalues[j]``; ``residuals[j]`` is the relative infinity-norm
+    residual of that pair.
     """
 
     eigenvalues: np.ndarray
@@ -123,13 +110,29 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=V, residuals=residuals)
 
 
-def _largest(left: np.ndarray, count: int,
-             right_times: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` largest mu of right v = mu left v, ascending, from the
-    reduced operator L^-1 right L^-T, left = L L^T factored in place: by
-    Lanczos, or for ``count >= n - 1`` by a dense symmetric eigensolve of
-    its matrix."""
+def lowest(left: np.ndarray, count: int,
+           right_times: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest ``count`` levels lambda of left v = lambda right v,
+    ascending, and their vectors as the columns of an n x count array.
+
+    ``left``, dense, symmetric and positive definite, is overwritten by its
+    Cholesky factor L (a Fortran-ordered one avoids a copy); the positive
+    semidefinite right matrix is given only as ``right_times(V)``, its
+    product with an n-vector or n x k array.  ``count`` must be an integer
+    in [1, n].  The roles are swapped: L^-1 right L^-T is searched for its
+    ``count`` largest mu = 1/lambda only, so a singular or badly scaled
+    right matrix costs no accuracy in the low end.  Lanczos (ARPACK
+    ``eigsh``, start vector all ones, so repeated solves are bit-identical)
+    applies it by two triangular solves with L (dtrsv), and v = L^-T y.  For
+    ``count >= n - 1``, beyond ARPACK's reach, the operator's matrix is
+    formed from the n unit vectors and diagonalized (``scipy.linalg.eigh``).
+
+    Raises EigenSolveError if ``left`` is not positive definite or the
+    eigensolve does not converge, and InfiniteLevelError if a requested mu
+    is not positive.
+    """
     n = left.shape[0]
+    _validate_count(count, n)
     L, info = lapack.dpotrf(left, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise EigenSolveError("left matrix is not positive definite: the lowest level is not "
@@ -152,92 +155,18 @@ def _largest(left: np.ndarray, count: int,
             mu, Y = eigsh(operator, k=count, which="LA", v0=np.ones(n), tol=0)
         except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenSolveError(f"Lanczos failed ({type(exc).__name__}): {exc}") from exc
-    return mu, np.array([blas.dtrsv(L, y, lower=1, trans=1) for y in Y.T]).T
-
-
-def eigh_pencil(left: np.ndarray, count: int, left_times: Callable[[np.ndarray], np.ndarray],
-                left_norm: float, right_times: Callable[[np.ndarray], np.ndarray],
-                right_norm: float) -> EigenDecomposition:
-    """Lowest ``count`` eigenpairs of left v = lambda right v, ascending.
-
-    ``left`` is a dense n x n symmetric positive definite array, which
-    the solve overwrites (a Fortran-ordered one avoids a copy).  The
-    residual contract takes its product and norm from ``left_times(V)``,
-    the product left @ V for an n x k array V, and ``left_norm``, the
-    infinity norm of left, so the dense left is built once; a structured
-    caller computes them from the matrix's pieces, which also checks the
-    pairs against a second construction of the same matrix.  The
-    symmetric positive semidefinite right matrix is given only as
-    ``right_times(V)``, the product right @ V for an n-vector or an n x k
-    array V, and ``right_norm``, its infinity norm; an array ``B`` passes
-    ``B.__matmul__`` and ``np.abs(B).sum(1).max()``.  ``count`` must be an
-    integer in [1, n].
-
-    The roles are swapped: with the Cholesky factor L of ``left``, the
-    bounded operator L^-1 right L^-T is searched for its ``count`` largest
-    eigenvalues mu = 1/lambda only, so a singular or badly scaled right
-    matrix costs no accuracy in the low end of the spectrum.  Lanczos (ARPACK
-    ``eigsh``, start vector all ones, so that repeated solves are
-    bit-identical) applies the operator by two triangular solves with L
-    (dtrsv); the eigenvectors are v = L^-T y.  For ``count >= n - 1``,
-    beyond ARPACK's reach, the same operator is applied to the n unit
-    vectors and the resulting n x n matrix is diagonalized densely
-    (``scipy.linalg.eigh``), with the same factor and back-transform.
-
-    Raises EigenSolveError if ``left`` is not positive definite, if
-    Lanczos or the dense eigensolve does not converge, if a requested mu
-    is not positive (lambda infinite) or if any pair misses the residual
-    contract, a non-finite residual included.
-    """
-    n = left.shape[0]
-    _validate_count(count, n)
-    mu, V = _largest(left, count, right_times)
     if not mu[0] > 0.0:
         raise InfiniteLevelError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
                                  "eigenvalues are finite")
-    lam = 1.0 / mu[::-1]
-    V = V[:, ::-1]
-    return _verified(lam, V, left_times(V), right_times(V), left_norm, right_norm)
+    V = np.array([blas.dtrsv(L, y, lower=1, trans=1) for y in Y.T]).T
+    return 1.0 / mu[::-1], V[:, ::-1]
 
 
-def ritz_pencil(X: np.ndarray, left_times: Callable[[np.ndarray], np.ndarray], left_norm: float,
-                left_form: Callable[[np.ndarray], np.ndarray],
-                right_times: Callable[[np.ndarray], np.ndarray],
-                right_norm: float) -> EigenDecomposition:
-    """The Rayleigh-Ritz pairs of left v = lambda right v on the span of the
-    columns of the n x k array X, ascending, verified by the pencil's
-    residual contract.
-
-    ``left_times``, ``left_norm``, ``right_times`` and ``right_norm`` are as
-    for ``eigh_pencil``;
-    the dense left matrix is not needed.  The k x k projections X^T left X
-    and X^T right X form a small symmetric-definite pencil, and its pairs
-    (theta, y) give the Ritz pairs (theta, X y), whose products with left
-    and right are the projections' factors times y, so the contract costs
-    no further product.  ``left_form(X)`` is X^T left X, which a structured
-    caller computes more accurately than X^T ``left_times(X)``: a rounding
-    error e in it mixes Ritz vectors whose levels lie g apart by about e/g.
-    The pairs are the lowest of the pencil only when X nearly spans its
-    lowest eigenvectors; the contract checks that they are eigenpairs, not
-    which ones.
-
-    Raises EigenSolveError if X^T right X is not positive definite or any
-    pair misses the residual contract.
-    """
-    AX, BX = left_times(X), right_times(X)
-    small_left, small_right = left_form(X), X.T @ BX
-    try:
-        theta, Y = scipy.linalg.eigh((small_left + small_left.T) / 2.0,
-                                     (small_right + small_right.T) / 2.0, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigenSolveError(f"Rayleigh-Ritz projection failed: {exc}") from exc
-    return _verified(theta, X @ Y, AX @ Y, BX @ Y, left_norm, right_norm)
-
-
-def _verified(lam: np.ndarray, V: np.ndarray, AV: np.ndarray, BV: np.ndarray, left_norm: float,
-              right_norm: float) -> EigenDecomposition:
-    """The pairs (lam, V) of the pencil whose products with V are AV and BV,
-    once every pair meets the pencil's residual contract."""
+def verified(lam: np.ndarray, V: np.ndarray, AV: np.ndarray, BV: np.ndarray, left_norm: float,
+             right_norm: float) -> EigenDecomposition:
+    """The pairs (lam, V) of left v = lambda right v, given AV = left @ V,
+    BV = right @ V and the two infinity norms, once every pair meets the
+    residual contract; EigenSolveError otherwise."""
     scale = left_norm + np.abs(lam) * right_norm
     residuals = _relative_residuals(AV - BV * lam[None, :], V, scale)
     return EigenDecomposition(eigenvalues=lam, eigenvectors=V, residuals=residuals)

@@ -207,6 +207,32 @@ class TestSolve:
         assert len(pairs) == 5
         assert len(calls) == 1
 
+    def test_dense_left_is_freed_before_the_residual_check(self, monkeypatch):
+        # the Cholesky factor fills the dense left; once the kernel returns,
+        # nothing may hold it while the check builds its FFT buffers
+        import weakref
+
+        import sinccol.collocation as collocation
+        import sinccol.dense_eig as dense_eig
+
+        lefts, alive = [], []
+        build, check = collocation._Pencil.dense_left, dense_eig._relative_residuals
+
+        def tracked(pencil):
+            left = build(pencil)
+            lefts.append(weakref.ref(left))
+            return left
+
+        def checked(*args):
+            alive.append([ref() is not None for ref in lefts])
+            return check(*args)
+
+        monkeypatch.setattr(collocation._Pencil, "dense_left", tracked)
+        monkeypatch.setattr(dense_eig, "_relative_residuals", checked)
+        problem = flagship_problem(0, M=100)  # a step above the coarse one: the direct path
+        assert len(solve(problem, 5)) == 5
+        assert alive == [[False]]
+
     def test_solve_does_not_import_scipy_fft(self):
         # scipy.fft costs about 0.1 s per interpreter; numpy.fft is loaded anyway
         import sinccol
@@ -598,13 +624,13 @@ class TestTwoGrid:
         import sinccol.collocation as collocation
 
         ritz = []
-        project = collocation.ritz_pencil
+        project = collocation._Pencil.ritz
 
-        def recorded(X, *args):
-            ritz.append((X.shape[0], project(X, *args)))
+        def recorded(pencil, X):
+            ritz.append((X.shape[0], project(pencil, X)))
             return ritz[-1][1]
 
-        monkeypatch.setattr(collocation, "ritz_pencil", recorded)
+        monkeypatch.setattr(collocation._Pencil, "ritz", recorded)
         problem = flagship_problem(4, M=300)
         pairs = solve(problem, 5)
         (rows, decomp), = ritz

@@ -8,19 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from sinccol import RESIDUAL_TOL, EigenSolveError, eigh_pencil
-from sinccol.dense_eig import eig, ritz_pencil
+from sinccol import RESIDUAL_TOL, EigenSolveError
+from sinccol.collocation import _Pencil
+from sinccol.dense_eig import eig, lowest, verified
 
 from oracles import charpoly_coefficients, charpoly_eval, dense_right
 
 
-def pencil_parts(problem, sigma=0.0):
-    """The dense left, the right arrowhead, the left product and the left
-    norm of the pencil of ``problem`` shifted by ``sigma``."""
-    from sinccol.collocation import _Pencil
-
-    pencil = dataclasses.replace(_Pencil.of(problem), sigma=sigma)
-    return pencil.dense_left(), pencil.R, pencil.left_times, pencil.left_norm()
+def shifted_pencil(problem, sigma=0.0):
+    """The pencil of ``problem`` shifted by ``sigma``."""
+    return dataclasses.replace(_Pencil.of(problem), sigma=sigma)
 
 
 def sorted_eigs(w):
@@ -155,11 +152,11 @@ class TestPencil:
 
     @staticmethod
     def solve(left, right, count):
-        """eigh_pencil on a fresh copy of ``left``; the residual's product
-        and norm come from the saved one."""
-        norm = np.abs(left).sum(1).max()
-        return eigh_pencil(left.copy(), count, left.__matmul__, norm, right.__matmul__,
-                           np.abs(right).sum(1).max())
+        """The kernel on a fresh copy of ``left``, then the residual contract
+        with the products and norms of the saved dense arrays."""
+        lam, V = lowest(left.copy(), count, right.__matmul__)
+        return verified(lam, V, left @ V, right @ V, np.abs(left).sum(1).max(),
+                        np.abs(right).sum(1).max())
 
     def test_matches_generalized_eigenvalues(self):
         left, right = self.random_pencil(30, 7)
@@ -198,7 +195,7 @@ class TestPencil:
         left = np.asfortranarray(left)
         saved = left.copy()
         with pytest.raises(ValueError, match="count must be an integer"):
-            eigh_pencil(left, count, left.__matmul__, 1.0, right.__matmul__, 1.0)
+            lowest(left, count, right.__matmul__)
         # dpotrf would have overwritten the Fortran-ordered left in place
         assert np.array_equal(left, saved)
 
@@ -214,7 +211,8 @@ class TestPencil:
         from sinccol import flagship_problem
 
         problem = flagship_problem(l, M=100)
-        left, right, times, norm = pencil_parts(problem)
+        pencil = shifted_pencil(problem)
+        left = pencil.dense_left()
         dense = dense_right(problem.weight, problem.omega)
         K, n = problem.grid.size, left.shape[0]
         # l = 0 is bordered: right is diag(u) plus one border row and column
@@ -225,7 +223,7 @@ class TestPencil:
         assert np.count_nonzero(dense) == (3 * K + 1 if l == 0 else K)
         mu = scipy.linalg.eigh(dense, left, eigvals_only=True)
         want = np.sort(1.0 / mu[mu > 0.0])[:5]
-        dec = eigh_pencil(left, 5, times, norm, right.__matmul__, right.norm_inf())
+        dec = pencil.eigh(5)
         assert np.allclose(dec.eigenvalues, want, rtol=1e-12, atol=0.0)
         assert np.all(dec.residuals <= RESIDUAL_TOL)
 
@@ -239,26 +237,27 @@ class TestPencil:
     def flagship_pencil(l, M):
         from sinccol import flagship_problem
 
-        return pencil_parts(flagship_problem(l, M=M))
+        return shifted_pencil(flagship_problem(l, M=M))
 
     def test_repeated_flagship_solves_are_bit_identical(self):
         # n = 1101, large enough for OpenBLAS to thread the Cholesky factorization
-        left, right, times, norm = self.flagship_pencil(4, 200)
-        first, second = (eigh_pencil(np.array(left, order="F"), 5, times, norm, right.__matmul__,
-                                     right.norm_inf())
-                         for _ in range(2))
+        pencil = self.flagship_pencil(4, 200)
+        first, second = (pencil.eigh(5) for _ in range(2))
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
-    def test_factor_is_used_in_place(self):
+    def test_factor_is_used_in_place(self, monkeypatch):
         import tracemalloc
 
-        left, right, times, norm = self.flagship_pencil(4, 200)
+        pencil = self.flagship_pencil(4, 200)
+        left = pencil.dense_left()
         n = left.shape[0]
         assert left.flags.f_contiguous
+        # the dense left is built before the measurement
+        monkeypatch.setattr(_Pencil, "dense_left", lambda self: left)
         tracemalloc.start()
         try:
-            eigh_pencil(left, 5, times, norm, right.__matmul__, right.norm_inf())
+            pencil.eigh(5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,9 +319,7 @@ class TestPencil:
 
         monkeypatch.setattr(dense_eig.lapack, "dpotrf", counting_dpotrf)
         monkeypatch.setattr(dense_eig.scipy.linalg, "eigh", one_matrix_eigh)
-        norm = np.abs(left).sum(1).max()
-        dec = eigh_pencil(left.copy(), count, left.__matmul__, norm, right.__matmul__,
-                          np.abs(right).sum(1).max())
+        dec = self.solve(left, right, count)
         assert factored == [(n, n)]
         assert solved == ([(n, n)] if count >= n - 1 else [])
         assert np.allclose(shift + dec.eigenvalues, full[:count], rtol=1e-10, atol=0.0)
@@ -339,7 +336,7 @@ class TestPencil:
             raise AssertionError("Lanczos called for count >= n - 1")
 
         problem = flagship_problem(l, M=M)
-        left = pencil_parts(problem)[0]
+        left = shifted_pencil(problem).dense_left()
         n = left.shape[0]
         mu = scipy.linalg.eigh(dense_right(problem.weight, problem.omega), left,
                                eigvals_only=True)
@@ -379,25 +376,26 @@ class TestPencil:
     def test_nan_product_is_reported(self):
         left, right = self.random_pencil(30, 4)
         norm = np.abs(left).sum(1).max()
+        lam, V = lowest(left, 4, right.__matmul__)
         with pytest.raises(EigenSolveError, match="non-finite"):
-            eigh_pencil(left, 4, lambda V: np.full(V.shape, np.nan), norm, right.__matmul__,
-                        np.abs(right).sum(1).max())
+            verified(lam, V, np.full(V.shape, np.nan), right @ V, norm,
+                     np.abs(right).sum(1).max())
 
     @pytest.mark.parametrize("l", [0, 4])
-    def test_perturbed_product_breaks_the_contract(self, l):
+    def test_perturbed_product_breaks_the_contract(self, l, monkeypatch):
         from sinccol import flagship_problem
 
-        left, right, times, norm = pencil_parts(flagship_problem(l, M=25))
+        pencil = shifted_pencil(flagship_problem(l, M=25))
+        times = _Pencil.left_times
 
-        def perturbed(V):
-            product = times(V)
+        def perturbed(self, V):
+            product = times(self, V)
             return product + 1e-6 * np.max(np.abs(product))
 
-        right_norm = right.norm_inf()
-        assert np.all(eigh_pencil(left.copy(), 5, times, norm, right.__matmul__,
-                                  right_norm).residuals <= RESIDUAL_TOL)
+        assert np.all(pencil.eigh(5).residuals <= RESIDUAL_TOL)
+        monkeypatch.setattr(_Pencil, "left_times", perturbed)
         with pytest.raises(EigenSolveError, match="residual contract violated"):
-            eigh_pencil(left, 5, perturbed, norm, right.__matmul__, right_norm)
+            pencil.eigh(5)
 
     @staticmethod
     def peak_normalized(V):
@@ -408,15 +406,12 @@ class TestPencil:
     @pytest.mark.parametrize("l", [1, 4])
     def test_shifted_pencil_matches_the_unshifted_one(self, l, count):
         from sinccol import flagship_problem
-        from sinccol.collocation import _Pencil
 
         problem = flagship_problem(l, M=100)
         shift = _Pencil.of(problem).sigma
         assert shift > 0.0
-        left, right, times, norm = pencil_parts(problem)
-        plain = eigh_pencil(left, count, times, norm, right.__matmul__, right.norm_inf())
-        left, right, times, norm = pencil_parts(problem, shift)
-        shifted = eigh_pencil(left, count, times, norm, right.__matmul__, right.norm_inf())
+        plain = shifted_pencil(problem).eigh(count)
+        shifted = shifted_pencil(problem, shift).eigh(count)
         assert np.allclose(shift + shifted.eigenvalues, plain.eigenvalues, rtol=1e-13, atol=0.0)
         assert np.all(shifted.residuals <= RESIDUAL_TOL)
         assert np.allclose(self.peak_normalized(shifted.eigenvectors),
@@ -442,28 +437,40 @@ class TestPencil:
 
 
 class TestRitz:
-    """ritz_pencil: Rayleigh-Ritz on a given basis, verified on the full pencil."""
+    """_Pencil.ritz: Rayleigh-Ritz on a given basis, verified on the full
+    pencil, with dense references from ``dense_left`` and ``dense_right``."""
+
+    # l = 0 is bordered; at M = 100 its n = 3 state is not yet resolved,
+    # and left_form is exact only for resolved columns
+    GRIDS = [(0, 200), (4, 100)]
 
     @staticmethod
-    def ritz(left, right, X):
-        return ritz_pencil(X, left.__matmul__, np.abs(left).sum(1).max(),
-                           lambda X: X.T @ left @ X, right.__matmul__, np.abs(right).sum(1).max())
+    def sinc_pencil(l, M):
+        """The pencil of the flagship problem and its dense left and right
+        matrices."""
+        from sinccol import flagship_problem
 
-    def test_exact_basis_gives_the_lowest_pairs(self):
-        left, right = TestPencil.random_pencil(30, 7)
-        want = TestPencil.solve(left, right, 4)
+        problem = flagship_problem(l, M=M)
+        pencil = _Pencil.of(problem)
+        return pencil, pencil.dense_left(), dense_right(problem.weight, problem.omega)
+
+    @pytest.mark.parametrize("l, M", GRIDS)
+    def test_exact_basis_gives_the_lowest_pairs(self, l, M):
+        pencil, _, _ = self.sinc_pencil(l, M)
+        want = pencil.eigh(4)
         # any basis of the same span, mixed and scaled
         mix = np.random.default_rng(3).standard_normal((4, 4)) + 4.0 * np.eye(4)
-        got = self.ritz(left, right, want.eigenvectors @ mix)
+        got = pencil.ritz(want.eigenvectors @ mix)
         assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12, atol=0.0)
         assert np.allclose(TestPencil.peak_normalized(got.eigenvectors),
                            TestPencil.peak_normalized(want.eigenvectors), rtol=0.0, atol=1e-10)
 
-    def test_residuals_are_those_of_the_full_pencil(self):
-        left, right = TestPencil.random_pencil(30, 7)
-        exact = TestPencil.solve(left, right, 3).eigenvectors
+    @pytest.mark.parametrize("l, M", GRIDS)
+    def test_residuals_are_those_of_the_full_pencil(self, l, M):
+        pencil, left, right = self.sinc_pencil(l, M)
+        exact = pencil.eigh(3).eigenvectors
         X = exact + 1e-11 * np.random.default_rng(5).standard_normal(exact.shape)
-        got = self.ritz(left, right, X)
+        got = pencil.ritz(X)
         V, lam = got.eigenvectors, got.eigenvalues
         scale = np.abs(left).sum(1).max() + np.abs(lam) * np.abs(right).sum(1).max()
         want = (np.max(np.abs(left @ V - right @ V * lam), axis=0)
@@ -471,14 +478,18 @@ class TestRitz:
         assert np.all(got.residuals > 0.0)
         assert np.allclose(got.residuals, want, rtol=1e-6, atol=0.0)
 
-    def test_a_basis_far_from_eigenvectors_misses_the_contract(self):
-        left, right = TestPencil.random_pencil(30, 7)
-        X = np.random.default_rng(11).standard_normal((30, 3))
+    @pytest.mark.parametrize("l, M", GRIDS)
+    def test_a_basis_far_from_eigenvectors_misses_the_contract(self, l, M):
+        pencil, left, _ = self.sinc_pencil(l, M)
+        X = np.random.default_rng(11).standard_normal((left.shape[0], 3))
         with pytest.raises(EigenSolveError, match="residual contract violated"):
-            self.ritz(left, right, X)
+            pencil.ritz(X)
 
-    def test_dependent_basis_is_reported(self):
-        left, right = TestPencil.random_pencil(10, 2)
-        x = np.ones((10, 1))
+    @pytest.mark.parametrize("l, M", GRIDS)
+    def test_dependent_basis_is_reported(self, l, M):
+        pencil, left, _ = self.sinc_pencil(l, M)
+        # a zero column makes X^T R X exactly singular, where a repeated one
+        # leaves it to rounding whether the Cholesky factorization fails
+        x = np.ones((left.shape[0], 1))
         with pytest.raises(EigenSolveError, match="Rayleigh-Ritz"):
-            self.ritz(left, right, np.hstack((x, x)))
+            pencil.ritz(np.hstack((x, 0.0 * x)))
