@@ -56,7 +56,11 @@ function is left out: g tends to l^2 at the left end and the integral of
 g omega^2 diverges.  The bordered pencil is not shifted (sigma = 0): there
 g/u tends to ln x + 1/2, unbounded below, and the border is no part of
 the Toeplitz block.  G and R are then arrowheads: diag(g) and diag(u)
-with the border row and column and the corner.
+with the border row and column and the corner.  Each pair carries its
+border coefficient c (``EigenPair.border``), so a pencil solved on the
+right part of a window has its f continued over the rest by the border
+alone, c omega/sqrt(phi') (``_border_extended``; ``coulomb`` cuts the l = 0
+pencil so).
 
 The paper's M sets a step far finer than the states need: the flagship
 levels converge like exp(-8.5/a) and reach roundoff by a = 0.2, while
@@ -85,7 +89,7 @@ path, the given grid's on the direct one.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -157,12 +161,16 @@ class EigenPair:
 
     ``coefficients`` holds the nodal values f(x_m) with the
     largest-magnitude entry normalized to positive sign.  ``residual`` is
-    the relative residual reported by the pencil eigensolver.
+    the relative residual reported by the pencil eigensolver.  ``border``
+    is the coefficient c of the boundary function in f, whose part
+    c omega/sqrt(phi') it is, at the scale and sign of ``coefficients``; 0
+    on an unbordered pencil.
     """
 
     eigenvalue: float
     coefficients: np.ndarray
     residual: float
+    border: float = 0.0
 
 
 def assemble(grid: SincGrid, potential: Callable[[np.ndarray], np.ndarray]) -> CollocationProblem:
@@ -355,23 +363,24 @@ class _Pencil:
         contract costs no further product.  The pairs are the lowest only
         when X nearly spans the lowest eigenvectors; the contract checks
         that they are eigenpairs, not which ones.  A projection X^T R X that
-        is not positive definite is an EigenSolveError.
+        is numerically singular, its smallest eigenvalue at most k eps times
+        its largest, means a linearly dependent basis, and that or any other
+        failure of the small solve is an EigenSolveError.
         """
         AX, BX = self.left_times(X), self.R @ X
         small_left, small_right = self.left_form(X), X.T @ BX
+        small_right = (small_right + small_right.T) / 2.0
+        gram = np.linalg.eigvalsh(small_right)
+        if not gram[0] > X.shape[1] * np.finfo(float).eps * gram[-1]:
+            raise EigenSolveError(f"Rayleigh-Ritz projection failed: the {X.shape[1]} basis "
+                                  f"vectors are linearly dependent, X^T R X has eigenvalues "
+                                  f"from {gram[0]:.3e} to {gram[-1]:.3e}")
         try:
-            theta, Y = scipy.linalg.eigh((small_left + small_left.T) / 2.0,
-                                         (small_right + small_right.T) / 2.0, check_finite=False)
+            theta, Y = scipy.linalg.eigh((small_left + small_left.T) / 2.0, small_right,
+                                         check_finite=False)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise EigenSolveError(f"Rayleigh-Ritz projection failed: {exc}") from exc
         return verified(theta, X @ Y, AX @ Y, BX @ Y, self.left_norm(), self.R.norm_inf())
-
-
-def _positive_peak(vec: np.ndarray) -> np.ndarray:
-    vec = np.array(vec, dtype=float)
-    if vec[np.argmax(np.abs(vec))] < 0.0:
-        vec = -vec
-    return vec
 
 
 def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
@@ -453,12 +462,26 @@ def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
         decomp = pencil.eigh(count)
     V = decomp.eigenvectors
     nodal = V[:K]
+    border = np.zeros(count)
     if problem.omega is not None:
-        nodal = nodal + problem.omega[:, None] * V[K][None, :]
+        border = V[K]
+        nodal = nodal + problem.omega[:, None] * border[None, :]
     f = nodal / np.sqrt(grid.phi1)[:, None]
-    return [EigenPair(eigenvalue=float(pencil.sigma + lam), coefficients=_positive_peak(f[:, j]),
-                      residual=float(decomp.residuals[j]))
+    # the largest-magnitude entry of each vector made positive
+    sign = np.where(f[np.argmax(np.abs(f), axis=0), np.arange(count)] < 0.0, -1.0, 1.0)
+    return [EigenPair(eigenvalue=float(pencil.sigma + lam), coefficients=sign[j] * f[:, j],
+                      residual=float(decomp.residuals[j]), border=float(sign[j] * border[j]))
             for j, lam in enumerate(decomp.eigenvalues)]
+
+
+def _border_extended(pair: EigenPair, grid: SincGrid) -> EigenPair:
+    """``pair``, solved on the bordered pencil of a window of ``grid`` that ends
+    where ``grid`` does, as a pair on all of ``grid``: the nodes left of the
+    window hold the border alone, f_m = c omega_m / sqrt(phi'(x_m))."""
+    cut = grid.size - pair.coefficients.size
+    e2m = -grid.phi2[:cut]
+    head = pair.border * (e2m / (1.0 + e2m)) / np.sqrt(grid.phi1[:cut])
+    return replace(pair, coefficients=np.concatenate((head, pair.coefficients)))
 
 
 def reconstruct(grid: SincGrid, pair: EigenPair, x: np.ndarray | float) -> np.ndarray | float:

@@ -17,6 +17,11 @@ points where the highest level's WKB decay in Langer's q = l^2/x^2 + ln(x)
 (Phys. Rev. 51 (1937) 669) stays below 17 decades.  The level is estimated
 by Bohr-Sommerfeld, then checked against the solve, which is repeated once
 on the hull of both windows if they differ.  No window extends the grid.
+At l = 0, where ln x has no forbidden region, the window keeps the grid's
+left end, but once the states are resolved to roundoff the bordered pencil
+(``collocation``) is solved only from z = -21.1 on, where its sinc part has
+decayed by the same 17 decades (``_border_cut``); its states are returned
+on the whole window, the border alone holding the nodes left of the cut.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collocation import CollocationProblem, EigenPair, assemble, solve
+from .collocation import (_COARSE_STEP, CollocationProblem, EigenPair, _border_extended, assemble,
+                          solve)
 from .dense_eig import EigenSolveError, InfiniteLevelError, _validate_count
 from .sinc import SincGrid, build_grid, interpolate
 
@@ -56,6 +62,10 @@ DEFAULT_M = 500
 
 NORM_TOL = 1e-8
 _WINDOW_DECAY = 17.0 * math.log(10.0)
+# WKB decay to the grid's end that lets the l = 0 pencil be cut: it keeps the
+# states' amplitude there below about 1e-5, for WKB underestimates their
+# decay by about a decade
+_HELD_DECAY = 4.0 * math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -118,14 +128,35 @@ def _level_estimate(langer: np.ndarray, weights: np.ndarray, n: int) -> float:
     return hi
 
 
-def _window_ends(langer: np.ndarray, weights: np.ndarray, lam: float) -> tuple[int, int]:
+def _window_ends(langer: np.ndarray, weights: np.ndarray, lam: float) -> tuple[int, int, float]:
     """Offsets of the first and last point whose WKB decay int sqrt(q - lambda)
-    dx from the outermost turning points of the Langer q is below _WINDOW_DECAY."""
+    dx from the outermost turning points of the Langer q is below _WINDOW_DECAY,
+    and the decay from the outer turning point to the grid's right end."""
     allowed = np.flatnonzero(langer <= max(lam, np.min(langer)))
     kappa = np.sqrt(np.maximum(langer - lam, 0.0)) * weights
     left = np.count_nonzero(np.cumsum(kappa[allowed[0]::-1]) < _WINDOW_DECAY)
-    right = np.count_nonzero(np.cumsum(kappa[allowed[-1]:]) < _WINDOW_DECAY)
-    return int(allowed[0]) - left + 1, int(allowed[-1]) + right - 1
+    tail = np.cumsum(kappa[allowed[-1]:])
+    right = np.count_nonzero(tail < _WINDOW_DECAY)
+    return int(allowed[0]) - left + 1, int(allowed[-1]) + right - 1, float(tail[-1])
+
+
+def _border_cut(window: SincGrid, count: int, tail: float) -> int:
+    """The offset in ``window`` of the first node at which the bordered l = 0
+    pencil is solved.  The sinc part v - c omega of a state decays like
+    e^(2z) |z| as z -> -inf, so it is solved from the first z = m a where that
+    reaches _WINDOW_DECAY's 17 decades, keeping count + 1 sinc nodes at least.
+    The solved sinc part decays so only for states resolved to roundoff;
+    elsewhere the cut moves them above it (measured at M = 50..1500).  So the
+    whole window is solved (offset 0) on a step above _COARSE_STEP, where the
+    levels have not converged (R moved 1.5e-11 of its peak at a = 0.41), and
+    unless the WKB decay ``tail`` from the highest level's outer turning
+    point to the grid's end reaches _HELD_DECAY: a state the grid's right
+    end truncates has its R moved by about 1e-8 of its amplitude there."""
+    if window.a > _COARSE_STEP or tail < _HELD_DECAY:
+        return 0
+    z = window.indices * window.a
+    first = int(np.argmax(np.exp(2.0 * z) * np.abs(z) >= math.exp(-_WINDOW_DECAY)))
+    return max(0, min(first, window.size - count - 1))
 
 
 def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int):
@@ -139,19 +170,21 @@ def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int):
     # formed directly: adding 1/(4x^2) to the l = 0 potential cancels ln x
     langer = np.square(l / grid.points) + np.log(grid.points)
     weights = grid.a / grid.phi1
-    lo, hi = _window_ends(langer, weights, _level_estimate(langer, weights, count - 1))
+    lo, hi, tail = _window_ends(langer, weights, _level_estimate(langer, weights, count - 1))
     for _ in range(2):
         window = grid.window(lo - grid.M, hi - grid.M)
+        cut = _border_cut(window, count, tail) if l == 0 else 0
         try:
-            pairs = solve(assemble(window, log_coulomb_potential(l)), count)
+            pairs = solve(assemble(grid.window(lo + cut - grid.M, hi - grid.M),
+                                   log_coulomb_potential(l)), count)
         except InfiniteLevelError as exc:
             raise InfiniteLevelError(f"state n = {count - 1} has no finite level on the grid at "
                                      f"l = {l}, M = {M}; increase M") from exc
         held = _window_ends(langer, weights, pairs[-1].eigenvalue)
         if lo <= held[0] and held[1] <= hi:
             break
-        lo, hi = min(lo, held[0]), max(hi, held[1])
-    return window, pairs
+        lo, hi, tail = min(lo, held[0]), max(hi, held[1]), min(tail, held[2])
+    return window, [_border_extended(pair, window) for pair in pairs]
 
 
 def _radial_norm_sq(grid: SincGrid, coefficients: np.ndarray) -> float:
@@ -187,9 +220,25 @@ def normalize(pair: EigenPair, grid: SincGrid, l: int, n: int) -> RadialSolution
 
 
 def evaluate_radial(solution: RadialSolution, x: np.ndarray | float) -> np.ndarray | float:
-    """Evaluate R(x) = x^(-1/2) * f(x) for a normalized state, x > 0."""
-    f = interpolate(solution.grid, solution.coefficients, x)
-    return f / np.sqrt(np.asarray(x, dtype=float))
+    """Evaluate R(x) = x^(-1/2) * f(x) for a normalized state, x > 0.
+
+    From the first node x_0 of the state's window on, f is the sinc
+    interpolant of the nodal values.  Below x_0, where that interpolant is
+    only the slow 1/t tail of the sum, R follows the class bound that sets
+    the grid, R ~ x^(alpha - 1/2) = x^l near 0:
+    R(x) = R(x_0) (x / x_0)^(alpha - 1/2), with R(x_0) = f(x_0)/sqrt(x_0)
+    from the nodal value.  At l = 0 that is the constant R(x_0); at l >= 1
+    x_0 lies 17 decades of WKB decay below the peak, and so does R there.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    x0 = solution.grid.points[0]
+    R = interpolate(solution.grid, solution.coefficients, x_arr) / np.sqrt(x_arr)
+    below = x_arr < x0
+    if np.any(below):
+        # x clamped to x_0, so that no x far above it overflows the power
+        power = (np.minimum(x_arr, x0) / x0) ** (solution.grid.alpha - 0.5)
+        R = np.where(below, solution.coefficients[0] / math.sqrt(x0) * power, R)[()]
+    return R
 
 
 def solve_states(l: int, count: int, beta: float = DEFAULT_BETA, d: float = DEFAULT_D,

@@ -119,6 +119,31 @@ class TestWavefunctionCommand:
         xs = np.array([float(l.split(",")[0]) for l in out.strip().split("\n")[1:]])
         assert np.allclose(xs, [0.01, 0.1, 1.0, 10.0, 100.0], rtol=1e-7)
 
+    def test_below_the_first_node_r_is_its_nodal_value_at_l0(self, capsys):
+        from sinccol import solve_states
+        from sinccol.cli import _fmt
+
+        # below x_0 = 3.1e-31 the interpolant's sinc tail would read up to 1.6e131
+        state = solve_states(0, 1)[0]
+        edge = state.coefficients[0] / np.sqrt(state.grid.points[0])
+        code, out, _ = run_cli(capsys, "wavefunction", "--l", "0", "--n", "0",
+                               "--x-min", "1e-300", "--x-max", "1e-299", "--samples", "3")
+        assert code == 0
+        assert [line.split(",")[1] for line in out.strip().split("\n")[1:]] == [_fmt(edge)] * 3
+
+    def test_default_samples_are_the_sinc_interpolant(self, capsys):
+        from sinccol import interpolate, solve_states
+        from sinccol.cli import _fmt
+
+        # [0.05, 10] lies inside the window, so the continuation below its
+        # first node leaves the default output as it was
+        state = solve_states(0, 1)[0]
+        xs = np.geomspace(0.05, 10.0, 200)
+        R = interpolate(state.grid, state.coefficients, xs) / np.sqrt(xs)
+        code, out, _ = run_cli(capsys, "wavefunction")
+        assert code == 0
+        assert out == "x,R\n" + "".join(f"{_fmt(x)},{_fmt(r)}\n" for x, r in zip(xs, R))
+
     def test_usage_error_on_window(self):
         for bad in (["--x-min", "0"], ["--x-min", "5", "--x-max", "2"],
                     ["--samples", "0"], ["--n", "-1"]):

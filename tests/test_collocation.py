@@ -536,19 +536,27 @@ class TestTwoGrid:
 
     def test_bordered_pencil_takes_the_two_grid_path(self, monkeypatch):
         import sinccol.collocation as collocation
+        import sinccol.coulomb as coulomb
         from sinccol import solve_states
 
         # l = 0, M = 1500: a = 0.081, stride 2, coarse step 0.162, Ritz
-        # residual 2.1e-14; the only solve here whose left_form has a border.
-        # At M = 1000 (coarse step 0.199, residual 5.6e-12) it falls back.
+        # residual 2.1e-14 on the K = 1003 window from z = -21.1 that the
+        # bordered pencil is solved on; the only solve here whose left_form
+        # has a border.  At M = 1000 (K = 713, coarse step 0.199, residual
+        # 5.6e-12) it falls back.
         with monkeypatch.context() as patch:
             patch.setattr(collocation, "_COARSE_STEP", 0.0)
             want = solve_states(0, 5, M=1500)
         built = self.counted_pencils(monkeypatch)
+        solved = []
+        real_solve = coulomb.solve
+        monkeypatch.setattr(coulomb, "solve",
+                            lambda problem, count: solved.append(problem.grid)
+                            or real_solve(problem, count))
         got = solve_states(0, 5, M=1500)
         grid = got[0].grid
         assert grid.alpha == 0.5 and grid.size == want[0].grid.size
-        assert built == [grid.nested(2).size]
+        assert built == [solved[0].nested(2).size]
         # 3.2e-14 in the levels and 1.2e-13 of the peak when written
         for g, w in zip(got, want):
             assert abs(g.eigenvalue / w.eigenvalue - 1.0) <= 2e-13
@@ -599,6 +607,25 @@ class TestTwoGrid:
             return exact + noise * np.max(np.abs(exact), axis=0) * rng.standard_normal(exact.shape)
 
         monkeypatch.setattr(collocation, "_lift", noisy)
+        built = self.counted_pencils(monkeypatch)
+        got = solve(problem, 5)
+        assert built == [problem.grid.nested(3).size, problem.grid.size]
+        for g, w in zip(got, want):
+            assert g.eigenvalue == w.eigenvalue
+            assert np.array_equal(g.coefficients, w.coefficients)
+
+    def test_a_dependent_lifted_basis_is_solved_directly(self, monkeypatch):
+        import sinccol.collocation as collocation
+
+        # every lifted column the ground state's: _Pencil.ritz refuses the
+        # basis as linearly dependent, and the pencil is solved directly
+        problem = flagship_problem(4, M=300)
+        with monkeypatch.context() as patch:
+            patch.setattr(collocation, "_COARSE_STEP", 0.0)
+            want = solve(problem, 5)
+        lift = collocation._lift
+        monkeypatch.setattr(collocation, "_lift", lambda V, stride, first, K: np.repeat(
+            lift(V, stride, first, K)[:, :1], V.shape[1], axis=1))
         built = self.counted_pencils(monkeypatch)
         got = solve(problem, 5)
         assert built == [problem.grid.nested(3).size, problem.grid.size]

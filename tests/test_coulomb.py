@@ -185,6 +185,29 @@ class TestRadialFunction:
         peak = np.max(np.abs(np.atleast_1d(evaluate_radial(s, xs))))
         assert abs(evaluate_radial(s, 0.1)) <= 1e-3 * peak
 
+    def test_below_the_first_node_r_follows_the_class_bound(self):
+        # R ~ x^l below the window, which starts at x_0 = 1.4e-4 here; the
+        # sinc interpolant's tail would read R(1e-7) = -1.4e-14 of the peak
+        s = solve_states(4, 1, M=500)[0]
+        x0 = s.grid.points[0]
+        peak = np.max(np.abs(evaluate_radial(s, np.geomspace(1e-4, 60.0, 400))))
+        below = np.array([1e-7, 1e-5, x0 / 2])
+        want = s.coefficients[0] / math.sqrt(x0) * (below / x0) ** 4
+        assert np.allclose(evaluate_radial(s, below), want, rtol=1e-14, atol=0.0)
+        # R(x_0) is roundoff, -1.7e-16 of the peak, so only its size is fixed
+        assert abs(evaluate_radial(s, 1e-7)) <= 1e-20 * peak
+        # an abscissa far above x_0 in the same call raises no overflow
+        assert evaluate_radial(s, [1e-7, 1e300])[0] == evaluate_radial(s, 1e-7)
+
+    def test_below_the_first_node_r_is_constant_at_l0(self):
+        s = solve_states(0, 1, M=500)[0]
+        edge = s.coefficients[0] / math.sqrt(s.grid.points[0])
+        assert edge > 0.0
+        assert evaluate_radial(s, 1e-300) == edge
+        assert np.array_equal(evaluate_radial(s, [1e-300, 1e-40]), [edge, edge])
+        # the nodal value and the interpolant at x_0 agree to the interpolant's rounding
+        assert abs(evaluate_radial(s, s.grid.points[0]) - edge) <= 1e-13 * edge
+
     def test_domain_error(self, l4_states):
         with pytest.raises(ValueError):
             evaluate_radial(l4_states[0], 0.0)
@@ -294,3 +317,85 @@ class TestWindow:
             grid.window(-21, 0)
         with pytest.raises(ValueError, match="not inside"):
             grid.window(5, 4)
+
+
+class TestBorderCut:
+    """The bordered l = 0 pencil is solved from z = -21.1 on, where its sinc
+    part has decayed by 17 decades, and its states are returned on the whole
+    window, the border alone holding the nodes left of the cut."""
+
+    @staticmethod
+    def solved_sizes(monkeypatch):
+        import sinccol.coulomb as coulomb
+
+        sizes = []
+        real_solve = coulomb.solve
+        monkeypatch.setattr(coulomb, "solve", lambda problem, count: sizes.append(
+            problem.grid.size) or real_solve(problem, count))
+        return sizes
+
+    @pytest.mark.parametrize("M, count", [(300, 3), (500, 5), (1000, 5), (1500, 5)])
+    def test_cut_matches_the_uncut_solve(self, monkeypatch, M, count):
+        import sinccol.coulomb as coulomb
+
+        with monkeypatch.context() as patch:
+            patch.setattr(coulomb, "_border_cut", lambda window, count, tail: 0)
+            want = solve_states(0, count, M=M)
+        sizes = self.solved_sizes(monkeypatch)
+        got = solve_states(0, count, M=M)
+        # differences when written: 1.1e-14 in the levels, 4.4e-14 of the
+        # peak in the coefficients and 2.2e-14 in R
+        xs = np.geomspace(1e-4, 60.0, 400)
+        for g, w in zip(got, want):
+            grid = g.grid
+            assert grid.size == w.grid.size and sizes[-1] < grid.size
+            assert abs(g.eigenvalue / w.eigenvalue - 1.0) <= 1e-13
+            peak = np.max(np.abs(w.coefficients))
+            assert np.max(np.abs(g.coefficients - w.coefficients)) <= 1e-12 * peak
+            R = evaluate_radial(w, xs)
+            assert np.max(np.abs(evaluate_radial(g, xs) - R)) <= 1e-12 * np.max(np.abs(R))
+
+    def test_paper_table_pencil_is_cut(self, monkeypatch):
+        sizes = self.solved_sizes(monkeypatch)
+        states = solve_states(0, 5, M=500)
+        assert states[0].grid.size == 751
+        # z = -21.1 to 35.1 at a = 0.14: K = 401 when written
+        assert len(sizes) == 1 and sizes[0] <= 420
+
+    def test_nodes_left_of_the_cut_hold_the_border(self, monkeypatch):
+        import sinccol.coulomb as coulomb
+        from sinccol import assemble, solve
+
+        solved = []
+        real_solve = coulomb.solve
+        monkeypatch.setattr(coulomb, "solve", lambda problem, count: solved.append(
+            real_solve(problem, count)) or solved[-1])
+        states = coulomb._windowed_pairs(0, 5, 1.0, D4, 500)[1]
+        grid = flagship_problem(0, M=500).grid
+        cut = grid.size - solved[0][0].coefficients.size
+        omega = assemble(grid, log_coulomb_potential(0)).omega
+        for state, pair in zip(states, solved[0]):
+            assert np.array_equal(state.coefficients[cut:], pair.coefficients)
+            assert np.array_equal(state.coefficients[:cut],
+                                  pair.border * omega[:cut] / np.sqrt(grid.phi1[:cut]))
+        assert all(p.border == 0.0 for p in solve(flagship_problem(1, M=50), 2))
+
+    @pytest.mark.parametrize("M, count", [(200, 5), (500, 20), (60, 1)])
+    def test_unresolved_states_are_solved_on_the_whole_window(self, monkeypatch, M, count):
+        # the grid's right end truncates the first two (amplitude 4.8e-3 and
+        # 0.17 of the peak there), and the step a = 0.41 of the third leaves
+        # its level 2.8e-7 off: the cut would move their coefficients by
+        # 3.3e-12, 2.3e-11 and 5.4e-12 of the peak
+        sizes = self.solved_sizes(monkeypatch)
+        states = solve_states(0, count, M=M)
+        assert sizes == [states[0].grid.size]
+
+    def test_cut_keeps_count_plus_one_sinc_nodes(self):
+        import sinccol.coulomb as coulomb
+
+        window = flagship_problem(0, M=500).grid
+        assert coulomb._border_cut(window, 5, math.inf) == window.size - 401
+        for count in (500, 749, 750):
+            cut = coulomb._border_cut(window, count, math.inf)
+            assert cut == max(0, min(window.size - 401, window.size - count - 1))
+        assert coulomb._border_cut(window, 5, 0.0) == 0

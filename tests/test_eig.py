@@ -488,8 +488,18 @@ class TestRitz:
     @pytest.mark.parametrize("l, M", GRIDS)
     def test_dependent_basis_is_reported(self, l, M):
         pencil, left, _ = self.sinc_pencil(l, M)
-        # a zero column makes X^T R X exactly singular, where a repeated one
-        # leaves it to rounding whether the Cholesky factorization fails
+        # a zero column makes X^T R X exactly singular
         x = np.ones((left.shape[0], 1))
         with pytest.raises(EigenSolveError, match="Rayleigh-Ritz"):
             pencil.ritz(np.hstack((x, 0.0 * x)))
+
+    @pytest.mark.parametrize("l, M", GRIDS + [(0, 100)])
+    def test_repeated_basis_vector_is_named_a_dependent_basis(self, l, M):
+        # X^T R X is singular; at l = 0 and 4, M = 100 its Cholesky
+        # factorization succeeds by rounding, so without the check the pairs
+        # only missed the residual contract (relative residual 0.16 and 0.18)
+        pencil, left, _ = self.sinc_pencil(l, M)
+        x = np.ones((left.shape[0], 1))
+        with pytest.raises(EigenSolveError, match="Rayleigh-Ritz projection failed: the 2 basis "
+                                                  "vectors are linearly dependent"):
+            pencil.ritz(np.hstack((x, x)))
