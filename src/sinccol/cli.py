@@ -8,6 +8,7 @@ Output is deterministic: 8 significant digits, '.' decimal separator,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -79,6 +80,9 @@ _M_LIST = _rule(_int_list,
                 "must be a comma list of at least two strictly increasing positive integers")
 
 
+# built once per process: parsing leaves the parser as it was, and each
+# parse_args call fills a new namespace
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinccol",

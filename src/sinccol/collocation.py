@@ -64,30 +64,48 @@ pencil so).
 
 The paper's M sets a step far finer than the states need: the flagship
 levels converge like exp(-8.5/a) and reach roundoff by a = 0.2, while
-M = 500 gives a = 0.047 at l = 4.  Halving a keeps every other sinc
-point, so the grids nest, and ``solve`` is a two-grid eigenvalue scheme
-(Xu & Zhou, Math. Comp. 70 (2001) 17).  With stride =
-max(1, floor(_COARSE_STEP / a)) > 1 it solves the pencil of the nested
-grid of step stride*a (``SincGrid.nested``) as above, lifts the coarse
-vectors v, functions of z, onto the given grid's nodes, and finishes by
-Rayleigh-Ritz on the given pencil from its O(K log K) products, so the
-given grid's dense matrix is never built.  The lift works in index space:
-fine node j sits at coarse index j/stride, so the coarse sinc series
-there is the coarse vector, stuffed with stride - 1 zeros between
-entries, convolved with sinc(j/stride), one FFT convolution for all the
-vectors (the border coefficient is the same on both grids).  Products,
-norms and the projection come from the pencil's pieces, T by the FFT
-and G and R in O(K).  It solves the given pencil directly instead at a
-stride of 1 and on two exits: a coarse vector that has not decayed to
-_DECAYED of its peak at both ends (a state the grid's end truncates),
-and Ritz pairs that miss the residual contract or whose residual is
-above _RITZ_RESIDUAL.  The memory check in ``_Pencil.dense_left`` guards
-the one dense matrix that is built: the nested grid's on the two-grid
-path, the given grid's on the direct one.
+M = 500 gives a = 0.047 at l = 4.  So ``solve`` is a two-grid eigenvalue
+scheme (Xu & Zhou, Math. Comp. 70 (2001) 17) wherever stride =
+max(1, floor(_COARSE_STEP / a)) > 1: it solves a small pencil of the same
+potential on a coarse grid, lifts its vectors onto the given grid's
+nodes, and finishes by Rayleigh-Ritz on the given pencil from its
+O(K log K) products, so the given grid's dense matrix is never built.
+
+An unbordered pencil takes its coarse grid from the double-exponential
+(DE) map x = psi(t) = ln(1 + e^(sinh t)) (Mori & Sugihara, J. Comput.
+Appl. Math. 127 (2001) 287; Gaudreau, Slevinsky & Safouhi, J. Math.
+Phys. 57 (2016) 043505): the nodes t = m _DE_STEP inside the given
+grid's x-range.  There the states decay double-exponentially in t rather
+than like e^(-x ln x) in z, so 132 to 154 nodes hold five flagship states
+at l = 1..4, whatever M, against the 443 to 623 of a nested grid of step
+0.2 at M = 500.  Its pencil is the Liouville form above for a general
+map, f = psi'^(1/2) v, u = psi'^2 and g = psi'^2 q + r'^2/4 - r''/2 with
+r = ln psi' (on z = ln sinh x this is the g above), with the same
+Toeplitz block and the same shift, so it is positive definite on the same
+grounds.  The lift evaluates the DE sinc series at each fine node's t_j
+by the series ``interpolate`` sums (``sinc._sinc_series``), in O(K) per
+vector and no K x K_DE matrix, and turns v into f and f into the given
+grid's v by sqrt(psi'(t_j) phi'(x_j)).
+
+A bordered pencil keeps the nested grid of step stride*a
+(``SincGrid.nested``): on a DE grid its border, sqrt(x) e^(-x)/sqrt(psi'),
+decays only like e^(t/2) left of the window, so its corner integrals
+would need a tail beyond it.  Every nested node is a node of the given grid:
+fine node j sits at coarse index (j - first)/stride, where the same
+series is summed (``_lift``), and the border coefficient is the same on
+both grids.  Products, norms and the projection come from the pencil's
+pieces, T by the FFT and G and R in O(K).  ``solve`` solves the given
+pencil directly instead at a stride of 1 and on two exits: a coarse
+vector that has not decayed to _DECAYED of its peak at both ends (a
+state the grid's end truncates), and Ritz pairs that miss the residual
+contract or whose residual is above _RITZ_RESIDUAL.  The memory check in
+``_Pencil.dense_left`` guards the one dense matrix that is built: the
+coarse grid's on the two-grid path, the given grid's on the direct one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -99,12 +117,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 # eig is unused here; perfbench/layers.py wraps this name
 from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, eig, lowest,
                         verified)
-from .sinc import SincGrid, _d2_column, _evaluate_on_points, build_deltas, interpolate
+from .sinc import (SincGrid, _d2_column, _de_factors, _de_inverse, _de_map, _evaluate_on_points,
+                   _sinc_series, build_deltas, interpolate)
 
-# The two-grid solve eigensolves on the nested grid of step stride*a <= _COARSE_STEP.
+# The two-grid solve runs at a stride = floor(_COARSE_STEP / a) of 2 or more, and
+# a bordered pencil eigensolves on the nested grid of step stride*a <= _COARSE_STEP.
 # The flagship's levels converge like exp(-8.5/a) in the step, to roundoff by
 # a = 0.2, so a finer step than that buys no digit; not a user setting.
 _COARSE_STEP = 0.2
+# The step h of the DE grid t = m h that gives an unbordered pencil its coarse
+# basis.  Chosen over the Ritz solves of l = 1..4, M = 500, 1000, 2500 and
+# counts 1, 5, 10: at h = 0.06 each ended below _RITZ_RESIDUAL (worst 6.1e-14)
+# but count 10 at M = 500, l = 1, 2, where the paper's grid truncates the
+# states and no step serves.  h = 0.05 also passed (worst 5.3e-15) but cost
+# 1 to 7 ms more per paper table; h = 0.07 lost count 10 everywhere else, at
+# l = 1, 2 to Ritz residuals of 8e-12 and at l = 3, 4 to _DECAYED (end nodes
+# at 1.4e-12 and 3.6e-12 of the peak).  A lost case costs a direct solve,
+# never a wrong answer.
+_DE_STEP = 0.06
 # A coarse vector holds its state when both its end nodes are at most this
 # fraction of its peak: the state has decayed inside the grid.
 _DECAYED = 1e-12
@@ -268,15 +298,21 @@ class _Pencil:
         (module docstring).  The one place the shift and the border are
         formed."""
         a = problem.grid.a
-        column = -_d2_column(problem.grid.size) / a**2
         u, w, g = problem.weight, problem.omega, problem.g
         if w is None:
-            return cls(column, a, max(0.0, float(np.min(g / u))), _Arrowhead(g), _Arrowhead(u))
+            return cls.unbordered(a, g, u)
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
-        return cls(column, a, 0.0,
+        return cls(-_d2_column(problem.grid.size) / a**2, a, 0.0,
                    _Arrowhead(g, g * w - ddw, float(np.sum(dw * dw + g * w * w))),
                    _Arrowhead(u, u * w, float(np.sum(u * w * w))))
+
+    @classmethod
+    def unbordered(cls, a: float, g: np.ndarray, u: np.ndarray) -> _Pencil:
+        """The unbordered pencil of step ``a`` with g and u at its nodes,
+        shifted by sigma = max(0, min g/u)."""
+        return cls(-_d2_column(g.size) / a**2, a, max(0.0, float(np.min(g / u))), _Arrowhead(g),
+                   _Arrowhead(u))
 
     def dense_left(self) -> np.ndarray:
         """The n x n left matrix, Fortran-ordered for LAPACK, with T copied
@@ -383,55 +419,102 @@ class _Pencil:
         return verified(theta, X @ Y, AX @ Y, BX @ Y, self.left_norm(), self.R.norm_inf())
 
 
+def _de_indices(grid: SincGrid) -> np.ndarray:
+    """The logical indices m of the DE nodes t = m _DE_STEP inside the x-range
+    of ``grid``."""
+    ends = _de_inverse(grid.points[[0, -1]]) / _DE_STEP
+    return np.arange(math.ceil(ends[0]), math.floor(ends[1]) + 1)
+
+
+def _de_pencil(t: np.ndarray, potential: Callable[[np.ndarray], np.ndarray]) -> _Pencil | None:
+    """The unbordered pencil of ``potential`` on the DE nodes t (module
+    docstring), or None where a node underflows to x = 0 or g is not finite."""
+    x = _de_map(t)
+    if not x[0] > 0.0:
+        return None
+    dpsi, dr, ddr = _de_factors(t)
+    u = np.square(dpsi)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = u * _evaluate_on_points(potential, x) + np.square(dr) / 4.0 - ddr / 2.0
+    return _Pencil.unbordered(_DE_STEP, g, u) if np.all(np.isfinite(g)) else None
+
+
+def _decayed_vectors(pencil: _Pencil, count: int) -> np.ndarray | None:
+    """The lowest ``count`` eigenvectors of a coarse pencil, or None where the
+    solve fails or a vector has not decayed to _DECAYED of its peak at both
+    end nodes: a state that the grid's end truncates."""
+    K = pencil.column.size
+    try:
+        V = pencil.eigh(count).eigenvectors
+    except EigenSolveError:
+        return None
+    peaks = np.max(np.abs(V[:K]), axis=0)
+    if np.any(np.maximum(np.abs(V[0]), np.abs(V[K - 1])) > _DECAYED * peaks):
+        return None
+    return V
+
+
+def _de_basis(problem: CollocationProblem, count: int) -> np.ndarray | None:
+    """The lowest ``count`` vectors of the DE pencil of ``problem``'s
+    potential lifted onto its grid's nodes (module docstring), or None where
+    the DE grid holds fewer than count + 2 nodes (vectors that vanish at both
+    ends span only its inner ones), has no finite pencil, or does not hold
+    ``count`` decayed states."""
+    grid = problem.grid
+    m = _de_indices(grid)
+    pencil = _de_pencil(m * _DE_STEP, problem.potential) if m.size >= count + 2 else None
+    V = None if pencil is None else _decayed_vectors(pencil, count)
+    if V is None:
+        return None
+    # v -> f -> v: f = sqrt(psi') v on the DE grid, v = sqrt(phi') f on this one
+    t = _de_inverse(grid.points)
+    tau = t / _DE_STEP
+    k = np.rint(tau)
+    return (_sinc_series(V.T, int(m[0]), k, tau - k) * np.sqrt(_de_factors(t)[0] * grid.phi1)).T
+
+
+def _nested_basis(problem: CollocationProblem, count: int, stride: int) -> np.ndarray | None:
+    """The lowest ``count`` vectors of the bordered pencil of the nested grid
+    of step stride*a lifted onto the nodes of ``problem``'s grid, or None
+    where that grid holds fewer than count + 2 nodes or does not hold
+    ``count`` decayed states."""
+    grid = problem.grid
+    if grid.M // stride + grid.N // stride + 1 < count + 2:  # the nested grid's size
+        return None
+    coarse = assemble(grid.nested(stride), problem.potential)
+    Kc = coarse.grid.size
+    V = _decayed_vectors(_Pencil.of(coarse), count)
+    if V is None:
+        return None
+    # v is a function of z, so the coarse sinc series gives it at the fine
+    # nodes; the border coefficient is the same on both grids
+    return np.vstack((_lift(V[:Kc], stride, grid.M - coarse.grid.M * stride, grid.size), V[Kc]))
+
+
 def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
     """The coarse sinc series of the columns of the Kc x k array V at the K
     nodes of a grid whose node first + stride*i is coarse node i.
 
-    Fine node j lies at coarse index (j - first)/stride, so its value is
-    sum_i V[i] sinc((j - first)/stride - i): the columns stuffed with
-    stride - 1 zeros between entries, times the Toeplitz kernel
-    sinc(d/stride), by one FFT convolution.  The kernel is exactly 1 at
-    d = 0 and 0 at the other multiples of the stride, and the shared nodes
-    are copied, so they keep the coarse values bit for bit.
+    Fine node j lies at coarse index (j - first)/stride = k + r, k integer,
+    and r = (j - first - stride k)/stride is formed exactly from the
+    remainder rather than from the rounded quotient, so the shared nodes
+    (r = 0) keep the coarse values bit for bit.
     """
-    # sin(pi d/stride) from the remainder of d, exact at every multiple
-    d = np.arange(K)
-    kernel = np.where(d // stride % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (d % stride) / stride)
-    kernel[1:] /= np.pi * d[1:] / stride
-    kernel[0] = 1.0
-    shared = slice(first, first + stride * V.shape[0], stride)
-    stuffed = np.zeros((K, V.shape[1]))
-    stuffed[shared] = V
-    X = _toeplitz_times(kernel, stuffed)
-    X[shared] = V
-    return X
+    d = np.arange(K) - first
+    k = (2 * d + stride) // (2 * stride)
+    return _sinc_series(V.T, 0, k.astype(float), (d - stride * k) / stride).T
 
 
 def _two_grid(problem: CollocationProblem, pencil: _Pencil, count: int,
               stride: int) -> EigenDecomposition | None:
     """The lowest ``count`` pairs of ``pencil``, the pencil of ``problem``,
-    by Rayleigh-Ritz on the coarse pairs of the nested grid of step
-    stride*a (module docstring), or None where that basis does not hold
-    them: a coarse solve that fails, a coarse vector that has not decayed
-    at both ends, or Ritz pairs that miss the residual contract or have a
-    residual above _RITZ_RESIDUAL."""
-    grid = problem.grid
-    if grid.M // stride + grid.N // stride + 1 < count:  # the nested grid's size
+    by Rayleigh-Ritz on the lifted coarse pairs (module docstring), or None
+    where that basis does not hold them: no coarse basis, or Ritz pairs that
+    miss the residual contract or have a residual above _RITZ_RESIDUAL."""
+    X = (_de_basis(problem, count) if problem.omega is None
+         else _nested_basis(problem, count, stride))
+    if X is None:
         return None
-    coarse = assemble(grid.nested(stride), problem.potential)
-    Kc = coarse.grid.size
-    try:
-        V = _Pencil.of(coarse).eigh(count).eigenvectors
-    except EigenSolveError:
-        return None
-    peaks = np.max(np.abs(V[:Kc]), axis=0)
-    if np.any(np.maximum(np.abs(V[0]), np.abs(V[Kc - 1])) > _DECAYED * peaks):
-        return None
-    # v is a function of z, so the coarse sinc series gives it at the fine
-    # nodes; the border coefficient is the same on both grids
-    X = _lift(V[:Kc], stride, grid.M - coarse.grid.M * stride, grid.size)
-    if coarse.omega is not None:
-        X = np.vstack((X, V[Kc]))
     try:
         ritz = pencil.ritz(X)
     except EigenSolveError:

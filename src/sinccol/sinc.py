@@ -201,6 +201,44 @@ def map_inverse(z: np.ndarray | float) -> np.ndarray | float:
     return out
 
 
+# The double-exponential (DE) map x = psi(t) = ln(1 + e^(sinh t)) of the real
+# line onto (0, inf) (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001) 287;
+# Gaudreau, Slevinsky & Safouhi, J. Math. Phys. 57 (2016) 043505): e^(-x ln x)
+# decay becomes double-exponential in t, so a sinc grid in t needs far fewer
+# nodes than one in z = ln sinh x.  With s = sinh t and the logistic
+# sigma = 1/(1 + e^(-s)), psi' = cosh t sigma and r = ln psi' has
+#   r' = tanh t + (1 - sigma) cosh t,
+#   r'' = sech^2 t - sigma (1 - sigma) cosh^2 t + (1 - sigma) s.
+
+
+def _de_map(t: np.ndarray) -> np.ndarray:
+    """x = psi(t) = ln(1 + e^(sinh t)), as max(s, 0) + log1p(e^(-|s|)), which
+    forms no exponential above 1; 0 once e^(sinh t) underflows."""
+    s = np.sinh(t)
+    return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+
+
+def _de_inverse(x: np.ndarray) -> np.ndarray:
+    """t = asinh(ln(e^x - 1)) for x > 0, the inverse of ``_de_map``; above
+    x = 30, ln(e^x - 1) = x + log1p(-e^(-x)), so that e^x is never formed."""
+    big = np.maximum(x, 30.0)
+    log_expm1 = np.where(x > 30.0, big + np.log1p(-np.exp(-big)),
+                         np.log(np.expm1(np.minimum(x, 30.0))))
+    return np.arcsinh(log_expm1)
+
+
+def _de_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi'(t), r'(t) and r''(t) of the DE map, r = ln psi' (comment above),
+    with sigma and 1 - sigma formed from e^(-|s|), so neither overflows or
+    cancels."""
+    s, cosh = np.sinh(t), np.cosh(t)
+    e = np.exp(-np.abs(s))
+    sigma = np.where(s >= 0.0, 1.0, e) / (1.0 + e)
+    rest = np.where(s >= 0.0, e, 1.0) / (1.0 + e)  # 1 - sigma
+    return (cosh * sigma, np.tanh(t) + rest * cosh,
+            1.0 / np.square(cosh) - sigma * rest * np.square(cosh) + rest * s)
+
+
 def _snapped_ceil(v: float) -> int:
     """ceil(v) that forgives float fuzz just below an integer."""
     nearest = round(v)
@@ -317,50 +355,85 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
     if not np.all(np.isfinite(t)):
         raise ValueError("interpolate requires phi(x)/a to be finite; x is too large")
     k = np.rint(t)
-    r = t - k
-    on_node = r == 0.0
-    alternating = np.where(grid.indices % 2 == 0, values, -values)
-    # position of k in the window k = -M - _NEAR .. N + _NEAR of the expansion;
-    # rows beyond it are clipped to its ends and overwritten by the direct sum,
-    # and node rows take r = 1/2 so that no 1/0 is formed
-    position = k + (grid.M + _NEAR)
-    clipped = np.clip(position, 0, grid.size + 2 * _NEAR - 1)
-    cauchy = _expanded_cauchy(alternating, clipped.astype(np.intp), np.where(on_node, 0.5, r))
-    beyond = np.flatnonzero(clipped != position)
-    cauchy[beyond] = _direct_cauchy(alternating, grid.indices, t[beyond])
-    k_sign = np.where(k % 2.0 == 0.0, 1.0, -1.0)
-    result = k_sign * np.sin(np.pi * r) / np.pi * cauchy
-    nodes = np.flatnonzero(on_node)
-    offset = k[nodes] + grid.M
-    inside = (offset >= 0) & (offset < grid.size)
-    result[nodes] = 0.0
-    # cast only the on-grid offsets: a huge t has no int
-    result[nodes[inside]] = values[offset[inside].astype(int)]
+    result = _sinc_series(values, -grid.M, k, t - k)
     if x_arr.ndim == 0:
         return float(result[0])
     return result.reshape(x_arr.shape)
 
 
+def _sinc_series(values: np.ndarray, first: int, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_i values[..., i] sinc(t - first - i) at each t = k + r of two 1-D
+    arrays, k integers and |r| <= 1/2, entry i of ``values`` standing at the
+    logical index first + i.
+
+    The sum of ``interpolate``'s docstring in the index t directly: one
+    sine per t, the Cauchy sum's near field and FFT far field, or the
+    direct sum beyond the grid, and the nodal value where r = 0.  Taking r
+    apart from k lets a caller that knows it exactly (a nested grid's
+    fraction of a coarse step) keep it so, rather than lose eps |t| to the
+    rounding of t.  ``values`` is a K-vector, or a k x K stack of them that
+    share the sine and the positions; the result is a t.size vector, or
+    k x t.size.
+    """
+    K = values.shape[-1]
+    indices = np.arange(first, first + K)
+    on_node = r == 0.0
+    alternating = np.where(indices % 2 == 0, values, -values)
+    # position of k in the window k = first - _NEAR .. first + K - 1 + _NEAR of
+    # the expansion; rows beyond it are clipped to its ends and overwritten by
+    # the direct sum, and node rows take r = 1/2 so that no 1/0 is formed
+    position = k + (_NEAR - first)
+    clipped = np.clip(position, 0, K + 2 * _NEAR - 1)
+    cauchy = _expanded_cauchy(alternating, clipped.astype(np.intp), np.where(on_node, 0.5, r))
+    beyond = np.flatnonzero(clipped != position)
+    cauchy[..., beyond] = _direct_cauchy(alternating, indices, k[beyond] + r[beyond])
+    k_sign = np.where(k % 2.0 == 0.0, 1.0, -1.0)
+    result = k_sign * np.sin(np.pi * r) / np.pi * cauchy
+    nodes = np.flatnonzero(on_node)
+    offset = k[nodes] - first
+    inside = (offset >= 0) & (offset < K)
+    result[..., nodes] = 0.0
+    # cast only the on-grid offsets: a huge t has no int
+    result[..., nodes[inside]] = values[..., offset[inside].astype(int)]
+    return result
+
+
 def _expanded_cauchy(c: np.ndarray, position: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum_m c_m / (k + r - m) for k = position - M - _NEAR within _NEAR of the grid."""
-    size = c.size
-    padded = np.zeros(size + 4 * _NEAR)
-    padded[2 * _NEAR:2 * _NEAR + size] = c
-    total = np.zeros(r.size)
+    """sum_m c_m / (k + r - m) for k = position - M - _NEAR within _NEAR of the
+    grid, for the K-vector ``c`` or each row of a stack of them."""
+    size = c.shape[-1]
+    stack = c.shape[:-1]
+    padded = np.zeros(stack + (size + 4 * _NEAR,))
+    padded[..., 2 * _NEAR:2 * _NEAR + size] = c
+    total = np.zeros(stack + r.shape)
+    buffer = np.empty(stack + r.shape)
     for j in range(-_NEAR, _NEAR + 1):  # j = k - m
-        total += padded[_NEAR - j:][position] / (r + j)
+        term = _gather(padded[..., _NEAR - j:], position, buffer)
+        term /= r + j
+        total += term
     length = _circulant_length(size)
-    shifted = np.zeros(length)
-    shifted[_NEAR:_NEAR + size] = c
+    shifted = np.zeros(stack + (length,))
+    shifted[..., _NEAR:_NEAR + size] = c
     # a new array: the cached kernel spectra are read-only
-    fields = np.fft.irfft(_kernel_spectra(size) * np.fft.rfft(shifted), length, axis=1)
+    spectra = _kernel_spectra(size)
+    spectra = spectra.reshape(spectra.shape[:1] + (1,) * len(stack) + spectra.shape[1:])
+    fields = np.fft.irfft(spectra * np.fft.rfft(shifted), length)
     # Horner in -r, gathering one term at a time
     minus_r = -r
-    far = fields[_TERMS - 1][position]
+    far = _gather(fields[_TERMS - 1], position, np.empty(buffer.shape))
     for p in range(_TERMS - 2, -1, -1):
         far *= minus_r
-        far += fields[p][position]
+        far += _gather(fields[p], position, buffer)
     return total + far
+
+
+def _gather(a: np.ndarray, position: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[..., position]: a new array for a vector, ``out`` for a stack, which
+    numpy gathers fastest by indexing and by ``np.take`` respectively.  Every
+    position is in range, so mode="clip" only spares take its buffered copy."""
+    if a.ndim == 1:
+        return a[position]
+    return np.take(a, position, axis=-1, out=out, mode="clip")
 
 
 def _circulant_length(size: int) -> int:
@@ -389,11 +462,11 @@ def _kernel_spectra(size: int) -> np.ndarray:
 
 def _direct_cauchy(c: np.ndarray, indices: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_m c_m / (t - m) term by term, _DIRECT_ROWS rows at a time, for t at
-    no grid index m."""
-    cauchy = np.empty(t.size)
+    no grid index m, for the K-vector ``c`` or each row of a stack of them."""
+    cauchy = np.empty(c.shape[:-1] + t.shape)
     for start in range(0, t.size, _DIRECT_ROWS):
         block = t[start:start + _DIRECT_ROWS]
-        cauchy[start:start + block.size] = 1.0 / (block[:, None] - indices) @ c
+        cauchy[..., start:start + block.size] = (1.0 / (block[:, None] - indices) @ c.T).T
     return cauchy
 
 

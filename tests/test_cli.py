@@ -199,6 +199,20 @@ class TestDefaults:
         assert cfg.format == "csv"
 
 
+    def test_parser_is_built_once_and_parses_afresh(self, capsys):
+        from sinccol.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        argv = ["eigen", "--l", "2,1", "--count", "3", "--M", "60", "--lambda-prime"]
+        first, again = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == again and first[0] == 0
+        # none of the options above carries over into a call that omits them
+        code, out, _ = run_cli(capsys, "eigen", "--M", "60")
+        rows = out.splitlines()
+        assert code == 0 and rows[0] == "n,l,lambda"
+        assert [row.split(",")[:2] for row in rows[1:]] == [[str(n), "0"] for n in range(5)]
+
+
 class TestUsageRules:
     """Each usage rule, fed one bad value: exit 2, nothing on stdout, and
     argparse's message naming the argument on stderr."""

@@ -171,21 +171,23 @@ class TestSolve:
                 return allocate(shape, *args, **kwargs)
             return allocate_small
 
-        # l = 4, M = 2500: K = 13751 at a = 0.021, so solve factors only the
-        # nested pencil of stride 9, K = 1528, 18.7 MB against a pretended 10 MB
+        # l = 0, M = 2500: K = 3751 at a = 0.063, so solve factors only the
+        # bordered pencil of the nested grid of stride 3, K = 1250 (1251 rows),
+        # 12.5 MB against a pretended 10 MB
         monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**7)
-        problem = flagship_problem(4, M=2500)
+        problem = flagship_problem(0, M=2500)
         for name in ("zeros", "empty"):
             monkeypatch.setattr(collocation.np, name, refusing(getattr(collocation.np, name)))
         with pytest.raises(ValueError,
-                           match=r"pencil at K = 1528 needs 0\.0187 GB.* has 0\.01 GB.*reduce M"):
+                           match=r"pencil at K = 1250 needs 0\.0125 GB.* has 0\.01 GB.*reduce M"):
             solve(problem, 5)
 
-    def test_paper_grid_too_large_to_factor_is_solved_on_its_nested_grid(self, monkeypatch):
+    def test_paper_grid_too_large_to_factor_is_solved_on_a_coarse_grid(self, monkeypatch):
         import sinccol.collocation as collocation
         from sinccol import solve_states
 
-        # the fine left matrix would need 1.51 GB against a pretended 1 GB
+        # the fine left matrix would need 1.51 GB against a pretended 1 GB;
+        # the 180-node DE pencil is factored instead
         monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**9)
         pairs = solve(flagship_problem(4, M=2500), 5)
         want = np.array([s.eigenvalue for s in solve_states(4, 5, M=500)])
@@ -494,7 +496,8 @@ def two_grid_and_direct():
 
 
 class TestTwoGrid:
-    """solve eigensolves on the nested grid of step at most _COARSE_STEP and
+    """solve eigensolves on a coarse grid, the DE grid of an unbordered pencil
+    or the nested grid of step at most _COARSE_STEP of a bordered one, and
     finishes by Rayleigh-Ritz on the given pencil."""
 
     @staticmethod
@@ -527,12 +530,14 @@ class TestTwoGrid:
                 R = evaluate_radial(w, xs)
                 assert np.max(np.abs(evaluate_radial(g, xs) - R)) <= 1e-12 * np.max(np.abs(R))
 
-    def test_only_the_nested_pencil_is_built(self, monkeypatch):
+    def test_only_the_de_pencil_is_built(self, monkeypatch):
+        from sinccol.collocation import _de_indices
+
         # l = 4, M = 300: a = 0.060, stride 3
         problem = flagship_problem(4, M=300)
         built = self.counted_pencils(monkeypatch)
         solve(problem, 5)
-        assert built == [problem.grid.nested(3).size]
+        assert built == [_de_indices(problem.grid).size]
 
     def test_bordered_pencil_takes_the_two_grid_path(self, monkeypatch):
         import sinccol.collocation as collocation
@@ -570,23 +575,29 @@ class TestTwoGrid:
         solve(problem, 5)
         assert built == [problem.grid.size]
 
-    @pytest.mark.parametrize("lo, hi, count", [(4, 5, 1), (1, 9, 4)])
-    def test_a_nested_grid_too_small_for_the_count_is_solved_directly(self, lo, hi, count,
+    @pytest.mark.parametrize("lo, hi, count", [(4, 5, 1), (500, 508, 4)])
+    def test_a_coarse_grid_too_small_for_the_count_is_solved_directly(self, lo, hi, count,
                                                                       monkeypatch):
-        # a = 0.060, stride 3: indices 4..5 hold no multiple of 3, 1..9 three
+        from sinccol.collocation import _de_indices
+
+        # a = 0.060, stride 3; the DE grid needs count + 2 nodes, and x = 1.06..1.11
+        # and x = 30.9..31.4 each hold one
         grid = build_grid(4.5, 1.0, D4, 300).window(lo, hi)
+        assert _de_indices(grid).size < count + 2
         problem = assemble(grid, lambda x: 79.0 / (4.0 * x**2) + np.log(x))
         built = self.counted_pencils(monkeypatch)
         assert len(solve(problem, count)) == count
         assert built == [grid.size]
 
     def test_states_truncated_by_the_grid_end_are_solved_directly(self, monkeypatch):
+        from sinccol.collocation import _de_indices
+
         # l = 1, M = 500: a = 0.081, stride 2; the paper's grid ends before
         # states 14..19 decay
         problem = flagship_problem(1, M=500)
         built = self.counted_pencils(monkeypatch)
         pairs = solve(problem, 20)
-        assert built == [problem.grid.nested(2).size, problem.grid.size]
+        assert built == [_de_indices(problem.grid).size, problem.grid.size]
         assert all(p.residual <= 1e-8 for p in pairs)
 
     @pytest.mark.parametrize("noise", [1e-3, 1e-10], ids=["contract", "roundoff"])
@@ -599,17 +610,18 @@ class TestTwoGrid:
         with monkeypatch.context() as patch:
             patch.setattr(collocation, "_COARSE_STEP", 0.0)
             want = solve(problem, 5)
-        lift = collocation._lift
+        lift = collocation._sinc_series
         rng = np.random.default_rng(4)
 
-        def noisy(V, stride, first, K):
-            exact = lift(V, stride, first, K)
-            return exact + noise * np.max(np.abs(exact), axis=0) * rng.standard_normal(exact.shape)
+        def noisy(*args):
+            exact = lift(*args)
+            peaks = np.max(np.abs(exact), axis=-1, keepdims=True)
+            return exact + noise * peaks * rng.standard_normal(exact.shape)
 
-        monkeypatch.setattr(collocation, "_lift", noisy)
+        monkeypatch.setattr(collocation, "_sinc_series", noisy)
         built = self.counted_pencils(monkeypatch)
         got = solve(problem, 5)
-        assert built == [problem.grid.nested(3).size, problem.grid.size]
+        assert built == [collocation._de_indices(problem.grid).size, problem.grid.size]
         for g, w in zip(got, want):
             assert g.eigenvalue == w.eigenvalue
             assert np.array_equal(g.coefficients, w.coefficients)
@@ -623,12 +635,12 @@ class TestTwoGrid:
         with monkeypatch.context() as patch:
             patch.setattr(collocation, "_COARSE_STEP", 0.0)
             want = solve(problem, 5)
-        lift = collocation._lift
-        monkeypatch.setattr(collocation, "_lift", lambda V, stride, first, K: np.repeat(
-            lift(V, stride, first, K)[:, :1], V.shape[1], axis=1))
+        lift = collocation._sinc_series
+        monkeypatch.setattr(collocation, "_sinc_series", lambda values, *args: np.repeat(
+            lift(values, *args)[:1], values.shape[0], axis=0))
         built = self.counted_pencils(monkeypatch)
         got = solve(problem, 5)
-        assert built == [problem.grid.nested(3).size, problem.grid.size]
+        assert built == [collocation._de_indices(problem.grid).size, problem.grid.size]
         for g, w in zip(got, want):
             assert g.eigenvalue == w.eigenvalue
             assert np.array_equal(g.coefficients, w.coefficients)
@@ -645,7 +657,7 @@ class TestTwoGrid:
         problem = flagship_problem(4, M=300)
         built = self.counted_pencils(monkeypatch)
         assert len(solve(problem, 5)) == 5
-        assert built == [problem.grid.nested(3).size]
+        assert built == [collocation._de_indices(problem.grid).size]
 
     def test_residual_is_that_of_the_fine_pencil(self, monkeypatch):
         import sinccol.collocation as collocation
@@ -666,6 +678,101 @@ class TestTwoGrid:
         assert all(0.0 < p.residual <= collocation._RITZ_RESIDUAL for p in pairs)
 
 
+@pytest.fixture(scope="module")
+def step_0105_levels():
+    """solve_states(l, 10, beta=0.5, M) for l = 1..4 with M = 450/(l + 1/2):
+    a = 0.105, stride 1, so solved directly, on windows of grids that reach
+    x = 94 (N = 2 alpha M), which no count-10 state there reaches; by l.
+    Its levels are independent of the two-grid solve and of the fine step,
+    and, with a pencil of entries near 1/a^2 = 91, hold less roundoff than a
+    direct solve at a = 0.021 (M = 2500), which is 2.4e-13 off them."""
+    from sinccol import solve_states
+
+    return {l: solve_states(l, 10, beta=0.5, M=round(450 / (l + 0.5))) for l in range(1, 5)}
+
+
+class TestDEBasis:
+    """The coarse basis of an unbordered pencil: the pencil of the same
+    potential on the double-exponential grid t = m _DE_STEP."""
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_de_pencil_alone_gives_the_oscillator_levels(self, l):
+        from sinccol.collocation import _DE_STEP, _de_indices, _de_pencil
+
+        # -f'' + ((4l^2 - 1)/(4x^2) + x^2) f = lambda f: lambda = 4n + 2l + 2,
+        # on the DE nodes inside the x-range of the paper's grid at M = 500
+        q = lambda x: (4 * l * l - 1) / (4.0 * x**2) + x**2
+        m = _de_indices(build_grid(l + 0.5, 1.0, D4, 500))
+        pencil = _de_pencil(m * _DE_STEP, q)
+        levels = pencil.sigma + pencil.eigh(5).eigenvalues
+        exact = 4.0 * np.arange(5) + 2 * l + 2
+        # K = 154, and 9.3e-15 at most when written
+        assert m.size < 200
+        assert np.max(np.abs(levels / exact - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_levels_and_states_match_a_direct_solve(self, l, step_0105_levels, monkeypatch):
+        from sinccol import evaluate_radial, solve_states
+        from sinccol.collocation import _de_indices
+
+        # 1.8e-14 in the levels and 5.5e-13 of the peak in R at most when
+        # written; every case takes the two-grid path but count 10 at
+        # M = 500, l = 1, 2, whose states the grid's right end truncates
+        xs = np.geomspace(1e-3, 40.0, 300)
+        built = TestTwoGrid.counted_pencils(monkeypatch)
+        for M in (500, 1000, 2500):
+            for count in (1, 5, 10):
+                built.clear()
+                got = solve_states(l, count, M=M)
+                K_de = _de_indices(got[0].grid).size
+                if M == 500 and count == 10 and l <= 2:
+                    assert built == [K_de, got[0].grid.size]
+                    continue
+                assert built == [K_de] and K_de < 200
+                for g, w in zip(got, step_0105_levels[l]):
+                    assert abs(g.eigenvalue / w.eigenvalue - 1.0) <= 3e-14
+                    R = evaluate_radial(w, xs)
+                    assert np.max(np.abs(evaluate_radial(g, xs) - R)) <= 1e-12 * np.max(np.abs(R))
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_states_the_grid_end_truncates_are_solved_directly(self, l, monkeypatch):
+        import sinccol.coulomb as coulomb
+        from sinccol import solve_states
+        from sinccol.collocation import _de_indices
+
+        # count 20 at M = 500: no DE vector has decayed at the window's right
+        # end, so each window's pencil is solved directly after the DE one
+        solved = []
+        real_solve = coulomb.solve
+        monkeypatch.setattr(coulomb, "solve", lambda problem, count: solved.append(problem.grid)
+                            or real_solve(problem, count))
+        built = TestTwoGrid.counted_pencils(monkeypatch)
+        solve_states(l, 20, M=500)
+        assert built == [size for grid in solved for size in (_de_indices(grid).size, grid.size)]
+
+    def test_the_lift_forms_no_fine_by_coarse_matrix(self):
+        import tracemalloc
+
+        import sinccol.collocation as collocation
+        from sinccol import solve_states
+        from sinccol.coulomb import log_coulomb_potential
+
+        # l = 4, M = 2500: K = 3962 fine nodes and 132 DE nodes, so a dense
+        # lift would take 4.2 MB; the whole two-grid solve peaked at 1.7 MB
+        grid = solve_states(4, 5, M=2500)[0].grid
+        problem = assemble(grid, log_coulomb_potential(4))
+        pencil = collocation._Pencil.of(problem)
+        K_de = collocation._de_indices(grid).size
+        tracemalloc.start()
+        try:
+            decomp = collocation._two_grid(problem, pencil, 5, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decomp is not None
+        assert peak < 8 * grid.size * K_de
+
+
 def unaligned_window(grid, stride):
     """The grid less one or two nodes at each end, so that neither end's
     logical index is a multiple of ``stride``."""
@@ -675,8 +782,9 @@ def unaligned_window(grid, stride):
 
 
 class TestLift:
-    """The two-grid lift: the coarse sinc series at the fine nodes by one FFT
-    convolution in index space."""
+    """The nested grid's lift: the coarse sinc series at the fine nodes, which
+    lie at the coarse indices (j - first)/stride, by the series that
+    ``interpolate`` sums."""
 
     @staticmethod
     def lifted(coarse, grid, stride, V):

@@ -106,6 +106,41 @@ class TestMaps:
         assert map_inverse(z + dz) > map_inverse(z)
 
 
+class TestDEMap:
+    """The double-exponential map x = psi(t) = ln(1 + e^(sinh t)) and the
+    factors psi', r' and r'' of r = ln psi' that the DE pencil is built from."""
+
+    def test_round_trip(self):
+        t = np.linspace(-6.5, 6.5, 2001)
+        # 4.4e-16 when written
+        assert np.max(np.abs(sinc._de_inverse(sinc._de_map(t)) - t)) <= 1e-15
+
+    def test_map_and_factors_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+
+        def r(T):
+            return mpmath.log(mpmath.cosh(T)) - mpmath.log1p(mpmath.exp(-mpmath.sinh(T)))
+
+        t = np.linspace(-6.0, 6.5, 26)
+        x = sinc._de_map(t)
+        dpsi, dr, ddr = sinc._de_factors(t)
+        for j, tj in enumerate(t):
+            T = mpmath.mpf(tj)
+            # x and psi' carry the rounding of sinh t, eps cosh t |t| relative
+            assert abs(x[j] / mpmath.log1p(mpmath.exp(mpmath.sinh(T))) - 1) <= 1e-13
+            assert abs(dpsi[j] / mpmath.exp(r(T)) - 1) <= 1e-13
+            assert abs(dr[j] - mpmath.diff(r, T)) <= 1e-15 * (1 + abs(dr[j]))
+            assert abs(ddr[j] - mpmath.diff(r, T, 2)) <= 1e-15 * (1 + abs(ddr[j]))
+
+    def test_extreme_arguments_are_finite_without_a_warning(self):
+        # e^(sinh t) overflows at t = 8 and e^x at x = 1e300 if either is formed
+        t = np.array([-8.0, 8.0])
+        assert np.all(np.isfinite(sinc._de_map(t)))
+        assert all(np.all(np.isfinite(f)) for f in sinc._de_factors(t))
+        assert np.all(np.isfinite(sinc._de_inverse(np.array([1e-300, 30.0, 30.5, 1e300]))))
+
+
 class TestBuildGrid:
     def test_flagship_l0_parameters(self):
         g = build_grid(0.5, 1.0, D4, 500)
@@ -409,6 +444,27 @@ class TestBlockedInterpolate:
         assert np.array_equal(spectra, saved)
         sinc._kernel_spectra.cache_clear()
         assert np.array_equal(interpolate(g, first_values, xs), first)
+
+
+class TestSincSeries:
+    def test_a_stack_matches_its_rows_and_the_term_by_term_sum(self):
+        # rows share the sine and the positions; t covers nodes, the near
+        # field and the direct sum beyond the grid
+        rng = np.random.default_rng(7)
+        first, K = -40, 150
+        values = rng.uniform(-1.0, 1.0, (3, K))
+        t = np.concatenate((rng.uniform(-70.0, 140.0, 500), np.arange(-45.0, 115.0, 5.0)))
+        k = np.rint(t)
+        stacked = sinc._sinc_series(values, first, k, t - k)
+        rows = np.array([sinc._sinc_series(v, first, k, t - k) for v in values])
+        assert stacked.shape == (3, t.size)
+        # 2.1e-17 and 1.8e-15 when written: the FFTs of a stack round apart
+        # from one row's
+        assert np.max(np.abs(stacked - rows)) <= 1e-15
+        want = values @ np.sinc(t[None, :] - np.arange(first, first + K)[:, None])
+        assert np.max(np.abs(stacked - want)) <= 1e-14
+        nodes = (t == k) & (k >= first) & (k < first + K)
+        assert np.array_equal(stacked[:, nodes], values[:, (k[nodes] - first).astype(int)])
 
 
 class TestQuadrature:
