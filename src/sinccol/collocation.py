@@ -19,12 +19,13 @@ factors grow like e^(2Ma) (1.7e63 at l = 0, M = 500), which swamps the
 low eigenvalues in the backward error of any nonsymmetric eigensolver.
 An assembled problem holds instead the nodal data of the symmetric
 (Liouville) form of the same collocation scheme (Eggert, Jarratt & Lund,
-J. Comput. Phys. 69 (1987) 209).  Writing f = (phi')^(-1/2) v and
-u = tanh^2(x) = 1/phi'^2, the equation becomes -v'' + g v = lambda u v in
-z = phi(x) with
+J. Comput. Phys. 69 (1987) 209).  On the grid of a map x = psi(z),
+writing f = psi'^(1/2) v, u = psi'^2 and r = ln psi', the equation
+becomes -v'' + g v = lambda u v in z with
 
-    g = u q + (1 - u)(1 + 3u)/4,
+    g = u q + r'^2/4 - r''/2    (u q + (1 - u)(1 + 3u)/4 on z = ln sinh x),
 
+where the grid holds u and r'^2/4 - r''/2 at its nodes (``sinc.SincGrid``),
 and collocation gives the symmetric-definite pencil
 
     (-d2/a^2 + diag(g)) v = lambda diag(u) v,
@@ -47,8 +48,8 @@ products and norms taken from the pencil's pieces.
 On a grid with alpha = 1/2 (critical coupling, f ~ x^(1/2)) v tends to a
 nonzero constant as z -> -inf, which no truncated sinc sum holds.  There
 the pencil is bordered with one boundary basis function
-omega(z) = 1/(1 + e^(2z)) (Stenger, Numerical Methods Based on Sinc and
-Analytic Functions, 1993) by Rayleigh-Ritz: its entries are the integrals
+omega(z) = 1/(1 + e^(2z)) = r'(z) (Stenger, Numerical Methods Based on Sinc
+and Analytic Functions, 1993) by Rayleigh-Ritz: its entries are the integrals
 of v' w' + g v w and u v w, evaluated with the grid's own sinc
 quadrature, using omega' = -2 omega (1 - omega) and
 omega'' = 4 omega (1 - omega)(1 - 2 omega).  For alpha > 1/2 the
@@ -75,17 +76,15 @@ An unbordered pencil takes its coarse grid from the double-exponential
 (DE) map x = psi(t) = ln(1 + e^(sinh t)) (Mori & Sugihara, J. Comput.
 Appl. Math. 127 (2001) 287; Gaudreau, Slevinsky & Safouhi, J. Math.
 Phys. 57 (2016) 043505): the nodes t = m _DE_STEP inside the given
-grid's x-range.  There the states decay double-exponentially in t rather
-than like e^(-x ln x) in z, so 132 to 154 nodes hold five flagship states
-at l = 1..4, whatever M, against the 443 to 623 of a nested grid of step
-0.2 at M = 500.  Its pencil is the Liouville form above for a general
-map, f = psi'^(1/2) v, u = psi'^2 and g = psi'^2 q + r'^2/4 - r''/2 with
-r = ln psi' (on z = ln sinh x this is the g above), with the same
-Toeplitz block and the same shift, so it is positive definite on the same
-grounds.  The lift evaluates the DE sinc series at each fine node's t_j
-by the series ``interpolate`` sums (``sinc._sinc_series``), in O(K) per
-vector and no K x K_DE matrix, and turns v into f and f into the given
-grid's v by sqrt(psi'(t_j) phi'(x_j)).
+grid's x-range (``sinc._de_grid``).  There the states decay
+double-exponentially in t rather than like e^(-x ln x) in z, so 132 to
+154 nodes hold five flagship states at l = 1..4, whatever M, against the
+443 to 623 of a nested grid of step 0.2 at M = 500.  ``assemble`` forms
+its pencil as on any grid, shifted alike and positive definite on the
+same grounds.  The lift (``_de_lift``) sums the DE sinc series at each
+fine node's t_j by the series ``interpolate`` sums (``sinc._sinc_series``),
+in O(K) per vector and no K x K_DE matrix, and turns v into f and f into
+the given grid's v by sqrt(psi'(t_j) phi'(x_j)).
 
 A bordered pencil keeps the nested grid of step stride*a
 (``SincGrid.nested``): on a DE grid its border, sqrt(x) e^(-x)/sqrt(psi'),
@@ -105,7 +104,6 @@ coarse grid's on the two-grid path, the given grid's on the direct one.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -117,7 +115,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # eig is unused here; perfbench/layers.py wraps this name
 from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, eig, lowest,
                         verified)
-from .sinc import (SincGrid, _d2_column, _de_factors, _de_inverse, _de_map, _evaluate_on_points,
+from .sinc import (SincGrid, _d2_column, _de_factors, _de_grid, _de_inverse, _evaluate_on_points,
                    _sinc_series, build_deltas, interpolate)
 
 # The two-grid solve runs at a stride = floor(_COARSE_STEP / a) of 2 or more, and
@@ -160,7 +158,7 @@ class CollocationProblem:
 
     ``potential`` is the full multiplicative term of the reduced radial
     equation, e.g. (4*l^2 - 1)/(4*x^2) + V(x).  ``g`` and ``weight``
-    (u = tanh^2 x) are sampled at the sinc points; ``omega`` holds the
+    (u = psi'^2) are sampled at the sinc points; ``omega`` holds the
     boundary function at the sinc points when the pencil is bordered with
     it, and is None otherwise.
     """
@@ -176,7 +174,7 @@ class CollocationProblem:
         """The paper's dense K x K collocation matrix, built on each access."""
         grid = self.grid
         deltas = build_deltas(grid)
-        e2m = -grid.phi2  # e^(-2ma), stored on the grid as phi''(x_m) = -e^(-2ma)
+        e2m = np.exp(-2.0 * (grid.indices * grid.a))  # e^(-2ma), as build_grid forms it
         # the factors scale the columns
         matrix = (np.diag(_evaluate_on_points(self.potential, grid.points))
                   + deltas.d1 * (e2m / grid.a) - deltas.d2 * ((1.0 + e2m) / grid.a**2))
@@ -204,7 +202,8 @@ class EigenPair:
 
 
 def assemble(grid: SincGrid, potential: Callable[[np.ndarray], np.ndarray]) -> CollocationProblem:
-    """Sample the symmetric pencil of ``potential`` on ``grid``.
+    """Sample the symmetric pencil of ``potential`` on ``grid``: g = u q plus
+    the grid's Liouville term, and at alpha = 1/2 the border omega = r'.
 
     The potential must be finite at every sinc point.
     """
@@ -212,13 +211,9 @@ def assemble(grid: SincGrid, potential: Callable[[np.ndarray], np.ndarray]) -> C
     if not np.all(np.isfinite(pot_vals)):
         bad = grid.points[~np.isfinite(pot_vals)][0]
         raise ValueError(f"potential is not finite at sinc point x={bad!r}")
-
-    e2m = -grid.phi2  # e^(-2ma)
-    weight = 1.0 / (1.0 + e2m)  # tanh^2(x_m) = 1/phi'(x_m)^2
-    omega = e2m / (1.0 + e2m)  # 1/(1 + e^(2ma)) = 1 - weight, without cancellation
     return CollocationProblem(grid=grid, potential=potential,
-                              g=weight * pot_vals + omega * (1.0 + 3.0 * weight) / 4.0,
-                              weight=weight, omega=omega if grid.alpha == 0.5 else None)
+                              g=grid.weight * pot_vals + grid.liouville, weight=grid.weight,
+                              omega=grid.dr if grid.alpha == 0.5 else None)
 
 
 def _physical_memory_bytes() -> int:
@@ -299,20 +294,13 @@ class _Pencil:
         formed."""
         a = problem.grid.a
         u, w, g = problem.weight, problem.omega, problem.g
+        column = -_d2_column(problem.grid.size) / a**2
         if w is None:
-            return cls.unbordered(a, g, u)
+            return cls(column, a, max(0.0, float(np.min(g / u))), _Arrowhead(g), _Arrowhead(u))
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
-        return cls(-_d2_column(problem.grid.size) / a**2, a, 0.0,
-                   _Arrowhead(g, g * w - ddw, float(np.sum(dw * dw + g * w * w))),
+        return cls(column, a, 0.0, _Arrowhead(g, g * w - ddw, float(np.sum(dw * dw + g * w * w))),
                    _Arrowhead(u, u * w, float(np.sum(u * w * w))))
-
-    @classmethod
-    def unbordered(cls, a: float, g: np.ndarray, u: np.ndarray) -> _Pencil:
-        """The unbordered pencil of step ``a`` with g and u at its nodes,
-        shifted by sigma = max(0, min g/u)."""
-        return cls(-_d2_column(g.size) / a**2, a, max(0.0, float(np.min(g / u))), _Arrowhead(g),
-                   _Arrowhead(u))
 
     def dense_left(self) -> np.ndarray:
         """The n x n left matrix, Fortran-ordered for LAPACK, with T copied
@@ -419,76 +407,40 @@ class _Pencil:
         return verified(theta, X @ Y, AX @ Y, BX @ Y, self.left_norm(), self.R.norm_inf())
 
 
-def _de_indices(grid: SincGrid) -> np.ndarray:
-    """The logical indices m of the DE nodes t = m _DE_STEP inside the x-range
-    of ``grid``."""
-    ends = _de_inverse(grid.points[[0, -1]]) / _DE_STEP
-    return np.arange(math.ceil(ends[0]), math.floor(ends[1]) + 1)
-
-
-def _de_pencil(t: np.ndarray, potential: Callable[[np.ndarray], np.ndarray]) -> _Pencil | None:
-    """The unbordered pencil of ``potential`` on the DE nodes t (module
-    docstring), or None where a node underflows to x = 0 or g is not finite."""
-    x = _de_map(t)
-    if not x[0] > 0.0:
-        return None
-    dpsi, dr, ddr = _de_factors(t)
-    u = np.square(dpsi)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g = u * _evaluate_on_points(potential, x) + np.square(dr) / 4.0 - ddr / 2.0
-    return _Pencil.unbordered(_DE_STEP, g, u) if np.all(np.isfinite(g)) else None
-
-
-def _decayed_vectors(pencil: _Pencil, count: int) -> np.ndarray | None:
-    """The lowest ``count`` eigenvectors of a coarse pencil, or None where the
-    solve fails or a vector has not decayed to _DECAYED of its peak at both
-    end nodes: a state that the grid's end truncates."""
-    K = pencil.column.size
+def _coarse_vectors(coarse: Callable[[], SincGrid], potential: Callable[[np.ndarray], np.ndarray],
+                    count: int) -> tuple[SincGrid, np.ndarray] | None:
+    """The grid ``coarse()`` and the lowest ``count`` eigenvectors of the pencil
+    of ``potential`` on it, or None where that grid cannot be formed, holds
+    fewer than count + 2 nodes (vectors that vanish at both ends span only
+    its inner ones), has the potential not finite on a node, fails its solve
+    or truncates a state (a vector above _DECAYED of its peak at an end
+    node).  The memory refusal of ``dense_left`` is raised, not caught."""
     try:
-        V = pencil.eigh(count).eigenvectors
+        grid = coarse()
+        if grid.size < count + 2:
+            return None
+        with np.errstate(all="ignore"):
+            problem = assemble(grid, potential)
+    except ValueError:
+        return None
+    try:
+        V = _Pencil.of(problem).eigh(count).eigenvectors
     except EigenSolveError:
         return None
-    peaks = np.max(np.abs(V[:K]), axis=0)
-    if np.any(np.maximum(np.abs(V[0]), np.abs(V[K - 1])) > _DECAYED * peaks):
+    ends = np.maximum(np.abs(V[0]), np.abs(V[grid.size - 1]))
+    if np.any(ends > _DECAYED * np.max(np.abs(V[:grid.size]), axis=0)):
         return None
-    return V
+    return grid, V
 
 
-def _de_basis(problem: CollocationProblem, count: int) -> np.ndarray | None:
-    """The lowest ``count`` vectors of the DE pencil of ``problem``'s
-    potential lifted onto its grid's nodes (module docstring), or None where
-    the DE grid holds fewer than count + 2 nodes (vectors that vanish at both
-    ends span only its inner ones), has no finite pencil, or does not hold
-    ``count`` decayed states."""
-    grid = problem.grid
-    m = _de_indices(grid)
-    pencil = _de_pencil(m * _DE_STEP, problem.potential) if m.size >= count + 2 else None
-    V = None if pencil is None else _decayed_vectors(pencil, count)
-    if V is None:
-        return None
-    # v -> f -> v: f = sqrt(psi') v on the DE grid, v = sqrt(phi') f on this one
+def _de_lift(V: np.ndarray, coarse: SincGrid, grid: SincGrid) -> np.ndarray:
+    """The DE sinc series of the columns of V, vectors v on the DE grid
+    ``coarse``, at the nodes of ``grid``, turned into that grid's v: f =
+    sqrt(psi') v on the DE grid, and v = sqrt(phi') f on this one."""
     t = _de_inverse(grid.points)
-    tau = t / _DE_STEP
+    tau = t / coarse.a
     k = np.rint(tau)
-    return (_sinc_series(V.T, int(m[0]), k, tau - k) * np.sqrt(_de_factors(t)[0] * grid.phi1)).T
-
-
-def _nested_basis(problem: CollocationProblem, count: int, stride: int) -> np.ndarray | None:
-    """The lowest ``count`` vectors of the bordered pencil of the nested grid
-    of step stride*a lifted onto the nodes of ``problem``'s grid, or None
-    where that grid holds fewer than count + 2 nodes or does not hold
-    ``count`` decayed states."""
-    grid = problem.grid
-    if grid.M // stride + grid.N // stride + 1 < count + 2:  # the nested grid's size
-        return None
-    coarse = assemble(grid.nested(stride), problem.potential)
-    Kc = coarse.grid.size
-    V = _decayed_vectors(_Pencil.of(coarse), count)
-    if V is None:
-        return None
-    # v is a function of z, so the coarse sinc series gives it at the fine
-    # nodes; the border coefficient is the same on both grids
-    return np.vstack((_lift(V[:Kc], stride, grid.M - coarse.grid.M * stride, grid.size), V[Kc]))
+    return (_sinc_series(V.T, -coarse.M, k, tau - k) * np.sqrt(_de_factors(t)[0] * grid.phi1)).T
 
 
 def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
@@ -507,14 +459,22 @@ def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
 
 def _two_grid(problem: CollocationProblem, pencil: _Pencil, count: int,
               stride: int) -> EigenDecomposition | None:
-    """The lowest ``count`` pairs of ``pencil``, the pencil of ``problem``,
-    by Rayleigh-Ritz on the lifted coarse pairs (module docstring), or None
-    where that basis does not hold them: no coarse basis, or Ritz pairs that
-    miss the residual contract or have a residual above _RITZ_RESIDUAL."""
-    X = (_de_basis(problem, count) if problem.omega is None
-         else _nested_basis(problem, count, stride))
-    if X is None:
+    """The lowest ``count`` pairs of ``pencil``, the pencil of ``problem``, by
+    Rayleigh-Ritz on the lifted coarse vectors of the DE grid, or of the
+    nested grid of step stride*a when bordered (module docstring); or None
+    where that basis does not hold them: no coarse vectors, or Ritz pairs
+    that miss the residual contract or have a residual above _RITZ_RESIDUAL."""
+    grid, bordered = problem.grid, problem.omega is not None
+    found = _coarse_vectors(lambda: grid.nested(stride) if bordered else _de_grid(grid, _DE_STEP),
+                            problem.potential, count)
+    if found is None:
         return None
+    coarse, V = found
+    if bordered:  # v is a function of z; the border coefficient is the same on both grids
+        X = np.vstack((_lift(V[:coarse.size], stride, grid.M - coarse.M * stride, grid.size),
+                       V[coarse.size]))
+    else:
+        X = _de_lift(V, coarse, grid)
     try:
         ritz = pencil.ritz(X)
     except EigenSolveError:
@@ -562,8 +522,7 @@ def _border_extended(pair: EigenPair, grid: SincGrid) -> EigenPair:
     where ``grid`` does, as a pair on all of ``grid``: the nodes left of the
     window hold the border alone, f_m = c omega_m / sqrt(phi'(x_m))."""
     cut = grid.size - pair.coefficients.size
-    e2m = -grid.phi2[:cut]
-    head = pair.border * (e2m / (1.0 + e2m)) / np.sqrt(grid.phi1[:cut])
+    head = pair.border * grid.dr[:cut] / np.sqrt(grid.phi1[:cut])
     return replace(pair, coefficients=np.concatenate((head, pair.coefficients)))
 
 

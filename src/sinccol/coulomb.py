@@ -104,12 +104,16 @@ def flagship_problem(l: int, beta: float = DEFAULT_BETA, d: float = DEFAULT_D,
     The grid exponent is fixed to alpha = l + 1/2 by the near-origin
     behavior of the physical solution; beta is restricted to [1/2, 1].
     """
+    return assemble(_flagship_grid(l, beta, d, M), log_coulomb_potential(l))
+
+
+def _flagship_grid(l: int, beta: float, d: float, M: int) -> SincGrid:
+    """The paper's grid of ``flagship_problem``, with its checks of l and beta."""
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
     if not 0.5 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0.5, 1.0], got {beta}")
-    grid = build_grid(alpha=l + 0.5, beta=beta, d=d, M=M)
-    return assemble(grid, log_coulomb_potential(l))
+    return build_grid(alpha=l + 0.5, beta=beta, d=d, M=M)
 
 
 def _level_estimate(langer: np.ndarray, weights: np.ndarray, n: int) -> float:
@@ -162,7 +166,7 @@ def _border_cut(window: SincGrid, count: int, tail: float) -> int:
 def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int):
     """The window of the paper's grid that holds the lowest ``count`` flagship
     pairs, and those pairs (module docstring)."""
-    grid = flagship_problem(l, beta=beta, d=d, M=M).grid
+    grid = _flagship_grid(l, beta, d, M)
     if isinstance(count, (int, np.integer)) and count > grid.size:
         raise ValueError(f"state n = {count - 1} needs more than the {grid.size} sinc points of "
                          f"the grid at l = {l}, M = {M}; increase M")
@@ -229,6 +233,8 @@ def evaluate_radial(solution: RadialSolution, x: np.ndarray | float) -> np.ndarr
     R(x) = R(x_0) (x / x_0)^(alpha - 1/2), with R(x_0) = f(x_0)/sqrt(x_0)
     from the nodal value.  At l = 0 that is the constant R(x_0); at l >= 1
     x_0 lies 17 decades of WKB decay below the peak, and so does R there.
+    Between nodes f carries the rounding of z = ln sinh x (``interpolate``),
+    about eps |z|/a of its size there, which a decayed state does not show.
     """
     x_arr = np.asarray(x, dtype=float)
     x0 = solution.grid.points[0]

@@ -10,6 +10,10 @@ exp(-c*sqrt(M)) once the step is tied to M by a = sqrt(2*pi*d/(alpha*M)),
 where d is the half-width of the strip of analyticity around the real
 z-axis.
 
+Each grid also carries its map's data at the nodes, which the one Liouville
+form of ``collocation`` reads: ``build_grid`` stores them in closed form for
+the map above, and the private ``_de_grid`` for the double-exponential map.
+
 Index convention: logical indices m, n run over {-M..N} and map to array
 offsets i = m + M everywhere in this package.
 """
@@ -61,8 +65,11 @@ class SincGrid:
             ``window`` of it keeps a and the indices but not M and N, and
             ``nested(stride)`` has the step stride*a.
         points: sinc points x_m = psi(m*a), m = -M..N, strictly increasing.
-        phi1: phi'(x_m) = sqrt(1 + e^(-2ma)), stored in closed form.
-        phi2: phi''(x_m) = -e^(-2ma), stored in closed form.
+        phi1: 1/psi', phi'(x_m) = sqrt(1 + e^(-2ma)) on build_grid's map.
+        weight: u = psi'^2, tanh^2(x_m) = 1/(1 + e^(-2ma)) on build_grid's map.
+        dr: r' of r = ln psi', sech^2(x_m) = 1/(1 + e^(2ma)) on build_grid's
+            map, the boundary function omega of a bordered pencil.
+        liouville: r'^2/4 - r''/2, omega (1 + 3u)/4 on build_grid's map.
     """
 
     alpha: float
@@ -73,7 +80,9 @@ class SincGrid:
     a: float
     points: np.ndarray
     phi1: np.ndarray
-    phi2: np.ndarray
+    weight: np.ndarray
+    dr: np.ndarray
+    liouville: np.ndarray
 
     @property
     def size(self) -> int:
@@ -89,23 +98,25 @@ class SincGrid:
         """The sub-grid of logical indices lo..hi: same map, step and indices."""
         if not -self.M <= lo <= hi <= self.N:
             raise ValueError(f"window {lo}..{hi} is not inside the grid's {-self.M}..{self.N}")
-        kept = slice(lo + self.M, hi + self.M + 1)
-        return replace(self, M=-int(lo), N=int(hi), points=self.points[kept],
-                       phi1=self.phi1[kept], phi2=self.phi2[kept])
+        return self._sliced(slice(lo + self.M, hi + self.M + 1), M=-int(lo), N=int(hi))
 
     def nested(self, stride: int) -> SincGrid:
         """The coarse grid of step stride*a on the logical indices that are
         multiples of ``stride``: coarse index m holds the node of index
-        stride*m, whose point and map factors are sliced, not recomputed,
+        stride*m, whose point and map data are sliced, not recomputed,
         so every coarse node is bit-identical to a node of this grid."""
         if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
             raise ValueError(f"stride must be a positive integer, got {stride!r}")
         M, N = self.M // stride, self.N // stride
         if M + N < 0:
             raise ValueError(f"no logical index of {-self.M}..{self.N} is a multiple of {stride}")
-        kept = slice(self.M - M * stride, self.M + N * stride + 1, stride)
-        return replace(self, M=int(M), N=int(N), a=stride * self.a, points=self.points[kept],
-                       phi1=self.phi1[kept], phi2=self.phi2[kept])
+        return self._sliced(slice(self.M - M * stride, self.M + N * stride + 1, stride),
+                            M=int(M), N=int(N), a=stride * self.a)
+
+    def _sliced(self, kept: slice, **changes) -> SincGrid:
+        """This grid with ``changes`` and every per-node array sliced by ``kept``."""
+        return replace(self, **changes, **{name: value[kept] for name, value in vars(self).items()
+                                           if isinstance(value, np.ndarray)})
 
 
 @dataclass(frozen=True)
@@ -228,9 +239,8 @@ def _de_inverse(x: np.ndarray) -> np.ndarray:
 
 
 def _de_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi'(t), r'(t) and r''(t) of the DE map, r = ln psi' (comment above),
-    with sigma and 1 - sigma formed from e^(-|s|), so neither overflows or
-    cancels."""
+    """psi'(t), r'(t) and r''(t) of the DE map (comment above), with sigma and
+    1 - sigma formed from e^(-|s|), so that neither overflows or cancels."""
     s, cosh = np.sinh(t), np.cosh(t)
     e = np.exp(-np.abs(s))
     sigma = np.where(s >= 0.0, 1.0, e) / (1.0 + e)
@@ -275,18 +285,37 @@ def build_grid(alpha: float, beta: float, d: float, M: int) -> SincGrid:
     m = np.arange(-M, N + 1)
     ma = m * a
     points = np.asarray(map_inverse(ma))
-    with np.errstate(over="ignore"):  # refused below as a ValueError
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as a ValueError
         e2m = np.exp(-2.0 * ma)
+        weight = 1.0 / (1.0 + e2m)
+        omega = e2m / (1.0 + e2m)  # = 1 - weight, without cancellation
     phi1 = np.sqrt(1.0 + e2m)
-    phi2 = -e2m
 
-    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(phi1))):
         raise ValueError("grid values overflow double precision; reduce M or increase alpha")
     if points[0] <= 0.0 or np.any(np.diff(points) <= 0.0):
         raise ValueError("sinc points must be strictly increasing and positive")
 
     return SincGrid(alpha=float(alpha), beta=float(beta), d=float(d), M=int(M), N=int(N),
-                    a=a, points=points, phi1=phi1, phi2=phi2)
+                    a=a, points=points, phi1=phi1, weight=weight, dr=omega,
+                    liouville=omega * (1.0 + 3.0 * weight) / 4.0)
+
+
+def _de_grid(like: SincGrid, h: float) -> SincGrid:
+    """The sinc grid of step h on the DE map, over the nodes t = m h inside
+    the x-range of ``like``, with its alpha, beta and d.  A ValueError where
+    that range holds no node or its first node underflows to x = 0."""
+    lo, hi = _de_inverse(like.points[[0, -1]]) / h
+    m = np.arange(math.ceil(lo), math.floor(hi) + 1)
+    t = m * h
+    points = _de_map(t)
+    if not (m.size and points[0] > 0.0):
+        raise ValueError(f"the grid of step {h} over x = {like.points[0]}..{like.points[-1]} has "
+                         "no node above x = 0")
+    dpsi, dr, ddr = _de_factors(t)
+    return SincGrid(alpha=like.alpha, beta=like.beta, d=like.d, M=-int(m[0]), N=int(m[-1]), a=h,
+                    points=points, phi1=1.0 / dpsi, weight=np.square(dpsi), dr=dr,
+                    liouville=np.square(dr) / 4.0 - ddr / 2.0)
 
 
 def build_deltas(grid: SincGrid) -> DeltaMatrices:
@@ -343,6 +372,10 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
 
     P abscissae take O(P + K) memory rather than a P x K matrix.
     The result has the shape of x, and a scalar x gives a float.
+
+    Between nodes t carries the rounding of z = ln sinh x, about eps |z|/a:
+    on random nodal data 3.4e-14 of the peak for z in [0, 10), up to 6.1e-13
+    beyond z = 120; a decayed state scales it by its size there, and hides it.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.size,):

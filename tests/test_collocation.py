@@ -30,8 +30,18 @@ def synthetic_grid(a, M, N):
     m = np.arange(-M, N + 1)
     ma = m * a
     e2m = np.exp(-2.0 * ma)
+    weight, omega = 1.0 / (1.0 + e2m), e2m / (1.0 + e2m)
     return SincGrid(alpha=1.0, beta=1.0, d=D4, M=M, N=N, a=a,
-                    points=np.arcsinh(np.exp(ma)), phi1=np.sqrt(1.0 + e2m), phi2=-e2m)
+                    points=np.arcsinh(np.exp(ma)), phi1=np.sqrt(1.0 + e2m), weight=weight,
+                    dr=omega, liouville=omega * (1.0 + 3.0 * weight) / 4.0)
+
+
+def de_size(grid):
+    """The number of nodes of the DE coarse grid inside ``grid``'s x-range."""
+    from sinccol.collocation import _DE_STEP
+    from sinccol.sinc import _de_grid
+
+    return _de_grid(grid, _DE_STEP).size
 
 
 class TestAssemble:
@@ -90,6 +100,52 @@ class TestAssemble:
             for field in dataclasses.fields(problem):
                 value = getattr(problem, field.name)
                 assert not (isinstance(value, np.ndarray) and value.ndim == 2), field.name
+
+
+class TestMapData:
+    """``assemble`` reads u, the Liouville term and the border from the grid,
+    which holds them for its own map."""
+
+    @pytest.mark.parametrize("l", range(5))
+    def test_paper_map_gives_the_closed_forms(self, l):
+        from sinccol.coulomb import log_coulomb_potential
+
+        # g = u q + omega (1 + 3u)/4, u = 1/(1 + e^(-2ma)), omega = 1 - u, bit for
+        # bit, on the grid, a window and a nested grid, each from e^(-2ma) of
+        # the grid's own nodes
+        grid = build_grid(l + 0.5, 1.0, D4, 60)
+        q = log_coulomb_potential(l)
+        e2m = np.exp(-2.0 * (grid.indices * grid.a))
+        m = grid.indices
+        for sub, kept in ((grid, m == m), (grid.window(-25, 20), (-25 <= m) & (m <= 20)),
+                          (grid.nested(3), m % 3 == 0)):
+            u, omega = 1.0 / (1.0 + e2m[kept]), e2m[kept] / (1.0 + e2m[kept])
+            problem = assemble(sub, q)
+            assert np.array_equal(problem.weight, u)
+            assert np.array_equal(problem.g, u * q(sub.points) + omega * (1.0 + 3.0 * u) / 4.0)
+            if l == 0:
+                assert np.array_equal(problem.omega, omega)
+            else:
+                assert problem.omega is None
+
+    def test_de_grid_gives_the_de_map_data(self):
+        from sinccol.collocation import _DE_STEP
+        from sinccol.sinc import _de_factors, _de_grid, _de_map
+
+        # u = psi'^2 and r'^2/4 - r''/2 of the DE map at the nodes t = m h inside
+        # the x-range of the grid it is formed for
+        like = build_grid(2.5, 1.0, D4, 200)
+        grid = _de_grid(like, _DE_STEP)
+        t = grid.indices * _DE_STEP
+        dpsi, dr, ddr = _de_factors(t)
+        assert grid.a == _DE_STEP and np.array_equal(grid.points, _de_map(t))
+        assert like.points[0] <= grid.points[0] and grid.points[-1] <= like.points[-1]
+        assert np.array_equal(grid.weight, np.square(dpsi))
+        assert np.array_equal(grid.liouville, np.square(dr) / 4.0 - ddr / 2.0)
+        q = lambda x: 15.0 / (4.0 * x**2) + np.log(x)
+        problem = assemble(grid, q)
+        assert np.array_equal(problem.g, grid.weight * q(grid.points) + grid.liouville)
+        assert problem.omega is None
 
 
 @pytest.fixture(scope="module")
@@ -531,13 +587,11 @@ class TestTwoGrid:
                 assert np.max(np.abs(evaluate_radial(g, xs) - R)) <= 1e-12 * np.max(np.abs(R))
 
     def test_only_the_de_pencil_is_built(self, monkeypatch):
-        from sinccol.collocation import _de_indices
-
         # l = 4, M = 300: a = 0.060, stride 3
         problem = flagship_problem(4, M=300)
         built = self.counted_pencils(monkeypatch)
         solve(problem, 5)
-        assert built == [_de_indices(problem.grid).size]
+        assert built == [de_size(problem.grid)]
 
     def test_bordered_pencil_takes_the_two_grid_path(self, monkeypatch):
         import sinccol.collocation as collocation
@@ -578,26 +632,62 @@ class TestTwoGrid:
     @pytest.mark.parametrize("lo, hi, count", [(4, 5, 1), (500, 508, 4)])
     def test_a_coarse_grid_too_small_for_the_count_is_solved_directly(self, lo, hi, count,
                                                                       monkeypatch):
-        from sinccol.collocation import _de_indices
-
         # a = 0.060, stride 3; the DE grid needs count + 2 nodes, and x = 1.06..1.11
         # and x = 30.9..31.4 each hold one
         grid = build_grid(4.5, 1.0, D4, 300).window(lo, hi)
-        assert _de_indices(grid).size < count + 2
+        assert de_size(grid) < count + 2
         problem = assemble(grid, lambda x: 79.0 / (4.0 * x**2) + np.log(x))
         built = self.counted_pencils(monkeypatch)
         assert len(solve(problem, count)) == count
         assert built == [grid.size]
 
-    def test_states_truncated_by_the_grid_end_are_solved_directly(self, monkeypatch):
-        from sinccol.collocation import _de_indices
+    def test_a_window_without_de_nodes_is_solved_directly(self, monkeypatch):
+        from sinccol.collocation import _DE_STEP
+        from sinccol.sinc import _de_grid
 
+        # a = 0.060, stride 3; x = 32.2..32.8 lies between the DE nodes
+        # t = 4.14 and 4.20
+        grid = build_grid(4.5, 1.0, D4, 300).window(520, 530)
+        with pytest.raises(ValueError, match="no node"):
+            _de_grid(grid, _DE_STEP)
+        problem = assemble(grid, lambda x: 79.0 / (4.0 * x**2) + np.log(x))
+        built = self.counted_pencils(monkeypatch)
+        assert len(solve(problem, 4)) == 4
+        assert built == [grid.size]
+
+    @pytest.mark.parametrize("fault", ["underflow", "potential"])
+    def test_a_de_grid_without_a_finite_pencil_is_solved_directly(self, fault, monkeypatch):
+        import sinccol.collocation as collocation
+        import sinccol.sinc as sinc
+        from sinccol.coulomb import log_coulomb_potential
+
+        # l = 4, M = 300: a = 0.060, stride 3; the first DE node pretends to
+        # underflow to x = 0, or the potential is infinite on one DE node only
+        problem = flagship_problem(4, M=300)
+        if fault == "underflow":
+            de_map = sinc._de_map
+            monkeypatch.setattr(sinc, "_de_map", lambda t: np.where(t == t[0], 0.0, de_map(t)))
+        else:
+            bad = sinc._de_grid(problem.grid, collocation._DE_STEP).points[40]
+            q = log_coulomb_potential(4)
+            problem = assemble(problem.grid, lambda x: np.where(x == bad, np.inf, q(x)))
+        with monkeypatch.context() as patch:
+            patch.setattr(collocation, "_COARSE_STEP", 0.0)
+            want = solve(problem, 5)
+        built = self.counted_pencils(monkeypatch)
+        got = solve(problem, 5)
+        assert built == [problem.grid.size]
+        for g, w in zip(got, want):
+            assert g.eigenvalue == w.eigenvalue
+            assert np.array_equal(g.coefficients, w.coefficients)
+
+    def test_states_truncated_by_the_grid_end_are_solved_directly(self, monkeypatch):
         # l = 1, M = 500: a = 0.081, stride 2; the paper's grid ends before
         # states 14..19 decay
         problem = flagship_problem(1, M=500)
         built = self.counted_pencils(monkeypatch)
         pairs = solve(problem, 20)
-        assert built == [_de_indices(problem.grid).size, problem.grid.size]
+        assert built == [de_size(problem.grid), problem.grid.size]
         assert all(p.residual <= 1e-8 for p in pairs)
 
     @pytest.mark.parametrize("noise", [1e-3, 1e-10], ids=["contract", "roundoff"])
@@ -621,7 +711,7 @@ class TestTwoGrid:
         monkeypatch.setattr(collocation, "_sinc_series", noisy)
         built = self.counted_pencils(monkeypatch)
         got = solve(problem, 5)
-        assert built == [collocation._de_indices(problem.grid).size, problem.grid.size]
+        assert built == [de_size(problem.grid), problem.grid.size]
         for g, w in zip(got, want):
             assert g.eigenvalue == w.eigenvalue
             assert np.array_equal(g.coefficients, w.coefficients)
@@ -640,7 +730,7 @@ class TestTwoGrid:
             lift(values, *args)[:1], values.shape[0], axis=0))
         built = self.counted_pencils(monkeypatch)
         got = solve(problem, 5)
-        assert built == [collocation._de_indices(problem.grid).size, problem.grid.size]
+        assert built == [de_size(problem.grid), problem.grid.size]
         for g, w in zip(got, want):
             assert g.eigenvalue == w.eigenvalue
             assert np.array_equal(g.coefficients, w.coefficients)
@@ -657,7 +747,7 @@ class TestTwoGrid:
         problem = flagship_problem(4, M=300)
         built = self.counted_pencils(monkeypatch)
         assert len(solve(problem, 5)) == 5
-        assert built == [collocation._de_indices(problem.grid).size]
+        assert built == [de_size(problem.grid)]
 
     def test_residual_is_that_of_the_fine_pencil(self, monkeypatch):
         import sinccol.collocation as collocation
@@ -697,23 +787,23 @@ class TestDEBasis:
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_de_pencil_alone_gives_the_oscillator_levels(self, l):
-        from sinccol.collocation import _DE_STEP, _de_indices, _de_pencil
+        from sinccol.collocation import _DE_STEP, _Pencil
+        from sinccol.sinc import _de_grid
 
         # -f'' + ((4l^2 - 1)/(4x^2) + x^2) f = lambda f: lambda = 4n + 2l + 2,
         # on the DE nodes inside the x-range of the paper's grid at M = 500
         q = lambda x: (4 * l * l - 1) / (4.0 * x**2) + x**2
-        m = _de_indices(build_grid(l + 0.5, 1.0, D4, 500))
-        pencil = _de_pencil(m * _DE_STEP, q)
+        grid = _de_grid(build_grid(l + 0.5, 1.0, D4, 500), _DE_STEP)
+        pencil = _Pencil.of(assemble(grid, q))
         levels = pencil.sigma + pencil.eigh(5).eigenvalues
         exact = 4.0 * np.arange(5) + 2 * l + 2
         # K = 154, and 9.3e-15 at most when written
-        assert m.size < 200
+        assert grid.size < 200
         assert np.max(np.abs(levels / exact - 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_levels_and_states_match_a_direct_solve(self, l, step_0105_levels, monkeypatch):
         from sinccol import evaluate_radial, solve_states
-        from sinccol.collocation import _de_indices
 
         # 1.8e-14 in the levels and 5.5e-13 of the peak in R at most when
         # written; every case takes the two-grid path but count 10 at
@@ -724,7 +814,7 @@ class TestDEBasis:
             for count in (1, 5, 10):
                 built.clear()
                 got = solve_states(l, count, M=M)
-                K_de = _de_indices(got[0].grid).size
+                K_de = de_size(got[0].grid)
                 if M == 500 and count == 10 and l <= 2:
                     assert built == [K_de, got[0].grid.size]
                     continue
@@ -738,7 +828,6 @@ class TestDEBasis:
     def test_states_the_grid_end_truncates_are_solved_directly(self, l, monkeypatch):
         import sinccol.coulomb as coulomb
         from sinccol import solve_states
-        from sinccol.collocation import _de_indices
 
         # count 20 at M = 500: no DE vector has decayed at the window's right
         # end, so each window's pencil is solved directly after the DE one
@@ -748,7 +837,7 @@ class TestDEBasis:
                             or real_solve(problem, count))
         built = TestTwoGrid.counted_pencils(monkeypatch)
         solve_states(l, 20, M=500)
-        assert built == [size for grid in solved for size in (_de_indices(grid).size, grid.size)]
+        assert built == [size for grid in solved for size in (de_size(grid), grid.size)]
 
     def test_the_lift_forms_no_fine_by_coarse_matrix(self):
         import tracemalloc
@@ -762,7 +851,7 @@ class TestDEBasis:
         grid = solve_states(4, 5, M=2500)[0].grid
         problem = assemble(grid, log_coulomb_potential(4))
         pencil = collocation._Pencil.of(problem)
-        K_de = collocation._de_indices(grid).size
+        K_de = de_size(grid)
         tracemalloc.start()
         try:
             decomp = collocation._two_grid(problem, pencil, 5, 9)

@@ -310,7 +310,8 @@ class TestWindow:
         assert (window.M, window.N, window.size) == (5, 12, 18)
         assert np.array_equal(window.indices, np.arange(-5, 13))
         assert np.array_equal(window.points, grid.points[15:33])
-        assert np.array_equal(window.phi2, -np.exp(-2.0 * window.indices * grid.a))
+        e2m = np.exp(-2.0 * window.indices * grid.a)
+        assert np.array_equal(window.dr, e2m / (1.0 + e2m))
         whole = grid.window(-grid.M, grid.N)
         assert (whole.M, whole.N) == (grid.M, grid.N)
         with pytest.raises(ValueError, match="not inside"):

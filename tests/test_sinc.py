@@ -185,14 +185,14 @@ class TestBuildGrid:
     def test_derivative_identities(self):
         g = build_grid(2.5, 1.0, D4, 120)
         e2m = np.exp(-2.0 * g.indices * g.a)
-        assert np.allclose(-g.phi2, e2m, rtol=1e-12, atol=0.0)
+        assert np.allclose(g.dr / g.weight, e2m, rtol=1e-12, atol=0.0)  # omega/u
         assert np.allclose(g.phi1**2, 1.0 + e2m, rtol=1e-12, atol=0.0)
         # the subtracted form phi1^2 - 1 loses eps/e^(-2ma) relative digits
         # to the representation of phi1, so restrict it to entries where
         # that loss stays below the tolerance
         big = e2m >= 1e-2
         assert np.allclose(g.phi1[big] ** 2 - 1.0, e2m[big], rtol=1e-12, atol=0.0)
-        assert np.all(np.isfinite(g.phi1)) and np.all(np.isfinite(g.phi2))
+        assert all(np.all(np.isfinite(v)) for v in (g.phi1, g.weight, g.dr, g.liouville))
 
     @given(st.floats(0.2, 5.0), st.floats(0.5, 2.0), st.floats(0.05, math.pi / 2),
            st.integers(1, 150))
@@ -218,7 +218,7 @@ class TestNested:
         grid = build_grid(4.5, 1.0, D4, 180)  # M = 180 and N = 810 are multiples of 9
         coarse = grid.nested(stride)
         assert (coarse.M, coarse.N, coarse.a) == (180 // stride, 810 // stride, stride * grid.a)
-        for name in ("points", "phi1", "phi2"):
+        for name in ("points", "phi1", "weight", "dr", "liouville"):
             assert np.array_equal(getattr(coarse, name), getattr(grid, name)[::stride])
 
     @pytest.mark.parametrize("lo, hi", [(-7, 13), (-8, 12), (3, 17), (-17, -3)])
