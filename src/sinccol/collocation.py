@@ -66,11 +66,13 @@ pencil so).
 The paper's M sets a step far finer than the states need: the flagship
 levels converge like exp(-8.5/a) and reach roundoff by a = 0.2, while
 M = 500 gives a = 0.047 at l = 4.  So ``solve`` is a two-grid eigenvalue
-scheme (Xu & Zhou, Math. Comp. 70 (2001) 17) wherever stride =
-max(1, floor(_COARSE_STEP / a)) > 1: it solves a small pencil of the same
-potential on a coarse grid, lifts its vectors onto the given grid's
-nodes, and finishes by Rayleigh-Ritz on the given pencil from its
-O(K log K) products, so the given grid's dense matrix is never built.
+scheme (Xu & Zhou, Math. Comp. 70 (2001) 17): it solves a small pencil of
+the same potential on a coarse grid, lifts its vectors onto the given
+grid's nodes, and finishes by Rayleigh-Ritz on the given pencil from its
+O(K log K) products, so the given grid's dense matrix is never built.  An
+unbordered pencil takes that path at any step a <= _COARSE_STEP whose grid
+holds the states (``_holds``), a bordered one at a stride =
+max(1, floor(_COARSE_STEP / a)) > 1.
 
 An unbordered pencil takes its coarse grid from the double-exponential
 (DE) map x = psi(t) = ln(1 + e^(sinh t)) (Mori & Sugihara, J. Comput.
@@ -94,16 +96,20 @@ fine node j sits at coarse index (j - first)/stride, where the same
 series is summed (``_lift``), and the border coefficient is the same on
 both grids.  Products, norms and the projection come from the pencil's
 pieces, T by the FFT and G and R in O(K).  ``solve`` solves the given
-pencil directly instead at a stride of 1 and on two exits: a coarse
-vector that has not decayed to _DECAYED of its peak at both ends (a
-state the grid's end truncates), and Ritz pairs that miss the residual
-contract or whose residual is above _RITZ_RESIDUAL.  The memory check in
+pencil directly instead elsewhere and on three exits: a DE grid whose
+ends lie less than _DECAYED's 12 decades of WKB decay past the states,
+which ``_holds`` finds by Bohr-Sommerfeld on the DE pencil's g and u before
+it is solved (a state the grid's end truncates); a coarse vector that has
+not decayed to _DECAYED of its peak at both ends (a state the coarse step
+does not resolve); and Ritz pairs that miss the residual contract or whose
+residual is above _RITZ_RESIDUAL.  The memory check in
 ``_Pencil.dense_left`` guards the one dense matrix that is built: the
 coarse grid's on the two-grid path, the given grid's on the direct one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -118,8 +124,8 @@ from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, ei
 from .sinc import (SincGrid, _d2_column, _de_factors, _de_grid, _de_inverse, _evaluate_on_points,
                    _sinc_series, build_deltas, interpolate)
 
-# The two-grid solve runs at a stride = floor(_COARSE_STEP / a) of 2 or more, and
-# a bordered pencil eigensolves on the nested grid of step stride*a <= _COARSE_STEP.
+# The two-grid solve runs on a step a <= _COARSE_STEP, and a bordered pencil at a
+# stride = floor(_COARSE_STEP / a) of 2 or more, on the nested grid of step stride*a.
 # The flagship's levels converge like exp(-8.5/a) in the step, to roundoff by
 # a = 0.2, so a finer step than that buys no digit; not a user setting.
 _COARSE_STEP = 0.2
@@ -407,14 +413,46 @@ class _Pencil:
         return verified(theta, X @ Y, AX @ Y, BX @ Y, self.left_norm(), self.R.norm_inf())
 
 
+def _level_estimate(q: np.ndarray, weights: np.ndarray, n: int, steps: int = 30) -> float:
+    """lambda_n where the Bohr-Sommerfeld phase sum weights sqrt(max(lambda - q, 0))
+    reaches pi (n + 1/2): bracketed from min q by widths that double, then
+    ``steps`` bisections; the bracket's upper end."""
+    def phase(lam):
+        return np.sqrt(np.maximum(lam - q, 0.0)) @ weights
+
+    lo = float(q.min())
+    hi = lo + 1.0
+    while phase(hi) < math.pi * (n + 0.5):
+        lo, hi = hi, 3.0 * hi - 2.0 * lo
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if phase(mid) < math.pi * (n + 0.5) else (lo, mid)
+    return hi
+
+
+def _holds(problem: CollocationProblem, count: int) -> bool:
+    """Whether the grid of the unbordered ``problem`` holds its lowest ``count``
+    states, by WKB on the pencil's own g, u and step a: lambda = lambda_(count-1)
+    of a sum sqrt(max(lambda u - g, 0)) = pi (count - 1/2), and a decay
+    a sum sqrt(max(g - lambda u, 0)) of _DECAYED's 12 decades at least from the
+    outermost turning points to both grid ends.  Eight bisections: the upper
+    end of the bracket errs towards "not held"."""
+    q, weights = problem.g / problem.weight, problem.grid.a * np.sqrt(problem.weight)
+    lam = _level_estimate(q, weights, count - 1, steps=8)
+    kappa = np.sqrt(np.maximum(q - lam, 0.0)) * weights
+    allowed = (q <= lam).nonzero()[0]
+    return min(kappa[:allowed[0]].sum(), kappa[allowed[-1]:].sum()) >= -math.log(_DECAYED)
+
+
 def _coarse_vectors(coarse: Callable[[], SincGrid], potential: Callable[[np.ndarray], np.ndarray],
                     count: int) -> tuple[SincGrid, np.ndarray] | None:
     """The grid ``coarse()`` and the lowest ``count`` eigenvectors of the pencil
     of ``potential`` on it, or None where that grid cannot be formed, holds
     fewer than count + 2 nodes (vectors that vanish at both ends span only
-    its inner ones), has the potential not finite on a node, fails its solve
-    or truncates a state (a vector above _DECAYED of its peak at an end
-    node).  The memory refusal of ``dense_left`` is raised, not caught."""
+    its inner ones), has the potential not finite on a node, does not hold
+    the states by ``_holds`` (unbordered), fails its solve or truncates a
+    state (a vector above _DECAYED of its peak at an end node).  The memory
+    refusal of ``dense_left`` is raised, not caught."""
     try:
         grid = coarse()
         if grid.size < count + 2:
@@ -422,6 +460,8 @@ def _coarse_vectors(coarse: Callable[[], SincGrid], potential: Callable[[np.ndar
         with np.errstate(all="ignore"):
             problem = assemble(grid, potential)
     except ValueError:
+        return None
+    if problem.omega is None and not _holds(problem, count):
         return None
     try:
         V = _Pencil.of(problem).eigh(count).eigenvectors
@@ -462,8 +502,9 @@ def _two_grid(problem: CollocationProblem, pencil: _Pencil, count: int,
     """The lowest ``count`` pairs of ``pencil``, the pencil of ``problem``, by
     Rayleigh-Ritz on the lifted coarse vectors of the DE grid, or of the
     nested grid of step stride*a when bordered (module docstring); or None
-    where that basis does not hold them: no coarse vectors, or Ritz pairs
-    that miss the residual contract or have a residual above _RITZ_RESIDUAL."""
+    where that basis does not hold them: no coarse vectors (among them a DE
+    grid that ``_holds`` refuses, before any solve), or Ritz pairs that miss
+    the residual contract or have a residual above _RITZ_RESIDUAL."""
     grid, bordered = problem.grid, problem.omega is not None
     found = _coarse_vectors(lambda: grid.nested(stride) if bordered else _de_grid(grid, _DE_STEP),
                             problem.potential, count)
@@ -487,20 +528,21 @@ def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
 
     The pairs are those of the symmetric pencil (see module docstring),
     built once as ``_Pencil.of(problem)`` with its shift sigma, which is
-    added back to each eigenvalue: on a step a below _COARSE_STEP / 2 by
-    the two-grid solve, and otherwise, or where that does not hold the
-    pairs, directly.  Coefficient vectors are the nodal values f(x_m),
-    sign-normalized so the largest-magnitude entry is positive.  A left
-    matrix that is not positive definite, which means a non-positive
-    lowest level, is an EigenSolveError, and so is a requested eigenvalue
-    that is not finite.
+    added back to each eigenvalue: by the two-grid solve on a step
+    a <= _COARSE_STEP (unbordered) or a <= _COARSE_STEP / 2 (bordered), and
+    otherwise, or where its grid does not hold the pairs, directly.
+    Coefficient vectors are the nodal values f(x_m), sign-normalized so
+    the largest-magnitude entry is positive.  A left matrix that is not
+    positive definite, which means a non-positive lowest level, is an
+    EigenSolveError, and so is a requested eigenvalue that is not finite.
     """
     grid = problem.grid
     K = grid.size
     _validate_count(count, K)
     pencil = _Pencil.of(problem)
     stride = max(1, int(_COARSE_STEP / grid.a))
-    decomp = _two_grid(problem, pencil, count, stride) if stride > 1 else None
+    coarse = stride > 1 if problem.omega is not None else grid.a <= _COARSE_STEP
+    decomp = _two_grid(problem, pencil, count, stride) if coarse else None
     if decomp is None:
         decomp = pencil.eigh(count)
     V = decomp.eigenvectors

@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collocation import (_COARSE_STEP, CollocationProblem, EigenPair, _border_extended, assemble,
-                          solve)
+from .collocation import (_COARSE_STEP, CollocationProblem, EigenPair, _border_extended,
+                          _level_estimate, assemble, solve)
 from .dense_eig import EigenSolveError, InfiniteLevelError, _validate_count
 from .sinc import SincGrid, build_grid, interpolate
 
@@ -114,22 +114,6 @@ def _flagship_grid(l: int, beta: float, d: float, M: int) -> SincGrid:
     if not 0.5 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0.5, 1.0], got {beta}")
     return build_grid(alpha=l + 0.5, beta=beta, d=d, M=M)
-
-
-def _level_estimate(langer: np.ndarray, weights: np.ndarray, n: int) -> float:
-    """lambda_n where int sqrt(max(lambda - q, 0)) dx, the sinc quadrature
-    with ``weights`` over the Langer q, reaches pi (n + 1/2), by bisection."""
-    def phase(lam):
-        return np.sqrt(np.maximum(lam - langer, 0.0)) @ weights
-
-    lo = float(np.min(langer))
-    hi = lo + 1.0
-    while phase(hi) < math.pi * (n + 0.5):
-        lo, hi = hi, 2.0 * hi - lo
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if phase(mid) < math.pi * (n + 0.5) else (lo, mid)
-    return hi
 
 
 def _window_ends(langer: np.ndarray, weights: np.ndarray, lam: float) -> tuple[int, int, float]:

@@ -1,6 +1,6 @@
 """Independent test oracles: shooting integrator, characteristic polynomial,
-a literal index-by-index transcription of the collocation matrix, and the
-dense right matrix of the symmetric pencil.
+a literal index-by-index transcription of the collocation matrix, the
+dense right matrix of the symmetric pencil, and a level count by inertia.
 
 Everything here deliberately avoids the library's own code paths (except
 for plain float helpers) so that agreement is meaningful.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -149,6 +150,19 @@ def dense_right(weight, omega):
     right[K, :K] = right[:K, K] = weight * omega
     right[K, K] = np.sum(weight * omega * omega)
     return right
+
+
+def levels_below(g, weight, a, tau):
+    """The number of eigenvalues below ``tau`` of the unbordered pencil
+    (-d2/a^2 + diag(g), diag(u)), u = ``weight``, by Sylvester's law of
+    inertia: the negative inertia of left - tau diag(u), read from its
+    LDL^T factorization, whose D has 1 x 1 and 2 x 2 diagonal blocks.  The
+    sinc second derivative is written out: -d2[j, k] = pi^2/3 on the
+    diagonal and 2 (-1)^(j - k)/(j - k)^2 off it."""
+    k = np.arange(1, g.size)
+    column = np.concatenate(([math.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2)) / a**2
+    _, D, _ = scipy.linalg.ldl(scipy.linalg.toeplitz(column) + np.diag(g - tau * weight))
+    return int(np.count_nonzero(np.linalg.eigvalsh(D) < 0.0))
 
 
 def count_sign_changes(values, rel_threshold=1e-8):

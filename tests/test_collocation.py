@@ -622,11 +622,26 @@ class TestTwoGrid:
             peak = np.max(np.abs(w.coefficients))
             assert np.max(np.abs(g.coefficients - w.coefficients)) <= 1e-12 * peak
 
-    def test_a_step_above_half_the_coarse_step_is_solved_directly(self, monkeypatch):
-        # l = 4, M = 100: a = 0.148, stride 1
+    def test_a_grid_that_ends_inside_the_decay_is_solved_directly(self, monkeypatch):
+        # l = 4, M = 100: a = 0.1047, stride 1; the grid ends 6.5 decades of
+        # WKB decay past n = 4's outer turning point, short of _DECAYED's 12,
+        # so the hold test sends it to the direct solve with no coarse pencil
         problem = flagship_problem(4, M=100)
         built = self.counted_pencils(monkeypatch)
         solve(problem, 5)
+        assert built == [problem.grid.size]
+
+    def test_a_step_above_the_coarse_step_forms_no_coarse_grid(self, monkeypatch):
+        import sinccol.collocation as collocation
+
+        def no_de_grid(*args):
+            raise AssertionError("DE grid formed")
+
+        # l = 4, M = 25: a = 0.209 > _COARSE_STEP
+        problem = flagship_problem(4, M=25)
+        monkeypatch.setattr(collocation, "_de_grid", no_de_grid)
+        built = self.counted_pencils(monkeypatch)
+        solve(problem, 1)
         assert built == [problem.grid.size]
 
     @pytest.mark.parametrize("lo, hi, count", [(4, 5, 1), (500, 508, 4)])
@@ -683,11 +698,11 @@ class TestTwoGrid:
 
     def test_states_truncated_by_the_grid_end_are_solved_directly(self, monkeypatch):
         # l = 1, M = 500: a = 0.081, stride 2; the paper's grid ends before
-        # states 14..19 decay
+        # states 14..19 decay, so the hold test builds no coarse pencil
         problem = flagship_problem(1, M=500)
         built = self.counted_pencils(monkeypatch)
         pairs = solve(problem, 20)
-        assert built == [de_size(problem.grid), problem.grid.size]
+        assert built == [problem.grid.size]
         assert all(p.residual <= 1e-8 for p in pairs)
 
     @pytest.mark.parametrize("noise", [1e-3, 1e-10], ids=["contract", "roundoff"])
@@ -807,7 +822,8 @@ class TestDEBasis:
 
         # 1.8e-14 in the levels and 5.5e-13 of the peak in R at most when
         # written; every case takes the two-grid path but count 10 at
-        # M = 500, l = 1, 2, whose states the grid's right end truncates
+        # M = 500, l = 1, 2, whose states the grid's right end truncates, and
+        # which the hold test sends to the direct solve alone
         xs = np.geomspace(1e-3, 40.0, 300)
         built = TestTwoGrid.counted_pencils(monkeypatch)
         for M in (500, 1000, 2500):
@@ -816,7 +832,7 @@ class TestDEBasis:
                 got = solve_states(l, count, M=M)
                 K_de = de_size(got[0].grid)
                 if M == 500 and count == 10 and l <= 2:
-                    assert built == [K_de, got[0].grid.size]
+                    assert built == [got[0].grid.size]
                     continue
                 assert built == [K_de] and K_de < 200
                 for g, w in zip(got, step_0105_levels[l]):
@@ -829,15 +845,16 @@ class TestDEBasis:
         import sinccol.coulomb as coulomb
         from sinccol import solve_states
 
-        # count 20 at M = 500: no DE vector has decayed at the window's right
-        # end, so each window's pencil is solved directly after the DE one
+        # count 20 at M = 500: the window's right end cuts the upper states
+        # inside their decay, so the hold test sends each window's pencil
+        # to the direct solve, and no DE pencil is built
         solved = []
         real_solve = coulomb.solve
         monkeypatch.setattr(coulomb, "solve", lambda problem, count: solved.append(problem.grid)
                             or real_solve(problem, count))
         built = TestTwoGrid.counted_pencils(monkeypatch)
         solve_states(l, 20, M=500)
-        assert built == [size for grid in solved for size in (de_size(grid), grid.size)]
+        assert built == [grid.size for grid in solved] and len(built) == 1
 
     def test_the_lift_forms_no_fine_by_coarse_matrix(self):
         import tracemalloc
@@ -860,6 +877,148 @@ class TestDEBasis:
             tracemalloc.stop()
         assert decomp is not None
         assert peak < 8 * grid.size * K_de
+
+
+def solved_problems(monkeypatch):
+    """The problems ``coulomb`` hands to ``solve``, in order, as it solves them."""
+    import sinccol.coulomb as coulomb
+
+    solved = []
+    real_solve = coulomb.solve
+    monkeypatch.setattr(coulomb, "solve", lambda problem, count: solved.append(problem)
+                        or real_solve(problem, count))
+    return solved
+
+
+class TestHoldTest:
+    """An unbordered pencil on a step a <= _COARSE_STEP takes the DE two-grid
+    path when ``_holds`` finds its grid's ends 12 decades of WKB decay past
+    the requested states, and is solved directly, with no coarse pencil,
+    otherwise."""
+
+    @pytest.mark.parametrize("l, M", [(2, 100), (2, 150), (3, 100), (4, 100)])
+    def test_a_held_window_at_stride_1_takes_the_de_path(self, l, M, monkeypatch):
+        import sinccol.collocation as collocation
+        from sinccol import evaluate_radial, solve_states
+
+        from oracles import levels_below
+
+        # the converge --n 0 solves of a = 0.105..0.140 that the stride rule
+        # sent to the direct solve; 5.8e-15 in the level, 2.3e-14 of the peak
+        # in R and Ritz residuals of 5.3e-15 at most when written
+        solved = solved_problems(monkeypatch)
+        built = TestTwoGrid.counted_pencils(monkeypatch)
+        got, = solve_states(l, 1, M=M)
+        problem, = solved
+        assert int(collocation._COARSE_STEP / problem.grid.a) == 1
+        assert built == [de_size(problem.grid)]
+        assert solve(problem, 1)[0].residual <= 1e-14
+        with monkeypatch.context() as patch:
+            patch.setattr(collocation, "_COARSE_STEP", 0.0)
+            want, = solve_states(l, 1, M=M)
+            direct = solve(problem, 2)
+        assert abs(got.eigenvalue / want.eigenvalue - 1.0) <= 2e-13
+        xs = np.geomspace(1e-4, 60.0, 400)
+        R = evaluate_radial(want, xs)
+        assert np.max(np.abs(evaluate_radial(got, xs) - R)) <= 1e-12 * np.max(np.abs(R))
+        # no level below the Ritz one was skipped: one level below the midpoint
+        # to the next, by the inertia of left - tau R
+        tau = 0.5 * (got.eigenvalue + direct[1].eigenvalue)
+        assert levels_below(problem.g, problem.weight, problem.grid.a, tau) == 1
+
+    @pytest.mark.parametrize("l, count, M", [(2, 5, 200), (3, 5, 150), (3, 5, 200), (4, 5, 150)])
+    def test_states_the_grid_end_cuts_build_one_pencil(self, l, count, M, monkeypatch):
+        from sinccol import solve_states
+
+        # stride 2; the paper's grid ends 8.7 to 11.5 decades of WKB decay past
+        # n = 4's outer turning point, where the DE solve used to be discarded
+        solved = solved_problems(monkeypatch)
+        built = TestTwoGrid.counted_pencils(monkeypatch)
+        solve_states(l, count, M=M)
+        assert built == [problem.grid.size for problem in solved] and len(built) == 1
+
+    def test_the_hold_test_agrees_with_the_decay_check(self, monkeypatch):
+        import sinccol.collocation as collocation
+        from sinccol import solve_states
+        from sinccol.sinc import _de_grid
+
+        # over the converge and paper grids: a held window's DE vectors pass
+        # _DECAYED, and every window the stride rule sent to the two-grid path,
+        # and whose DE basis passed there, still takes it
+        solved = solved_problems(monkeypatch)
+        built = TestTwoGrid.counted_pencils(monkeypatch)
+        held_by = collocation._holds
+        taken = 0
+        for l in range(1, 5):
+            for M in (25, 50, 100, 150, 200, 300, 500, 1000):
+                for count in (1, 5):
+                    solved.clear()
+                    built.clear()
+                    solve_states(l, count, M=M)
+                    problem, grid = solved[-1], solved[-1].grid
+                    if grid.a > collocation._COARSE_STEP:
+                        continue
+                    de = _de_grid(grid, collocation._DE_STEP)
+                    held = held_by(assemble(de, problem.potential), count)
+                    assert built[-1:] == [de.size if held else grid.size]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(collocation, "_holds", lambda *args: True)
+                        found = collocation._coarse_vectors(lambda: de, problem.potential, count)
+                        two_grid = collocation._two_grid(problem, collocation._Pencil.of(problem),
+                                                         count, 2)
+                    assert found is not None or not held, (l, M, count)
+                    if int(collocation._COARSE_STEP / grid.a) > 1 and two_grid is not None:
+                        assert held, (l, M, count)
+                        taken += 1
+        # 28 such windows when written
+        assert taken >= 20
+
+    def test_a_held_window_the_de_step_cannot_resolve_is_solved_directly(self, monkeypatch):
+        import sinccol.collocation as collocation
+        import sinccol.coulomb as coulomb
+        from sinccol import solve_states
+        from sinccol.sinc import _de_grid
+
+        class Solved(Exception):
+            pass
+
+        def first_window(problem, count):
+            raise Solved(problem)
+
+        # l = 4, M = 1000, count 20: the window holds the states (16.4 decades
+        # of WKB decay on the right), but the DE step 0.06 does not resolve
+        # n = 19, whose DE vector ends at 2.8e-8 of its peak, so _DECAYED sends
+        # the window to the direct solve after the DE one, as the stride rule did
+        monkeypatch.setattr(coulomb, "solve", first_window)
+        with pytest.raises(Solved) as solved:
+            solve_states(4, 20, M=1000)
+        problem, = solved.value.args
+        de = _de_grid(problem.grid, collocation._DE_STEP)
+        assert collocation._holds(assemble(de, problem.potential), 20)
+        built = TestTwoGrid.counted_pencils(monkeypatch)
+        assert collocation._two_grid(problem, collocation._Pencil.of(problem), 20, 6) is None
+        assert built == [de.size]
+
+    def test_the_oscillator_takes_the_de_path_where_its_grid_holds_the_states(self,
+                                                                               monkeypatch):
+        import sinccol.collocation as collocation
+
+        # -f'' + (15/(4x^2) + x^2) f = lambda f (l = 2): lambda = 4n + 6; a = 0.115,
+        # stride 1.  The paper's grid reaches x = 43.7, and a window of it ends
+        # at x = 7.6, 7.1 decades of WKB decay past n = 2's outer turning point
+        grid = build_grid(2.5, 1.0, D4, 150)
+        q = lambda x: 15.0 / (4.0 * x**2) + x**2
+        exact = 4.0 * np.arange(3) + 6.0
+        assert int(collocation._COARSE_STEP / grid.a) == 1
+        built = TestTwoGrid.counted_pencils(monkeypatch)
+        levels = [p.eigenvalue for p in solve(assemble(grid, q), 3)]
+        assert built == [de_size(grid)]
+        # 2.0e-15 at most when written
+        assert np.max(np.abs(np.array(levels) / exact - 1.0)) <= 1e-13
+        window = grid.window(-grid.M, 60)
+        built.clear()
+        solve(assemble(window, q), 3)
+        assert built == [window.size]
 
 
 def unaligned_window(grid, stride):

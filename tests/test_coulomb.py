@@ -304,6 +304,34 @@ class TestWindow:
         got = np.array([s.eigenvalue for s in states])
         assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 
+    def test_the_level_estimate_keeps_the_window_ends_of_a_unit_walk(self):
+        import sinccol.coulomb as coulomb
+
+        def unit_walk(langer, weights, n):
+            # the bracket grown by a constant width of 1 before 30 bisections:
+            # at l = 0, from min ln x = -M a, 71-74 phase sums at M = 500 and
+            # 158-160 at M = 2500, where doubling widths take 7 and 8
+            phase = lambda lam: np.sqrt(np.maximum(lam - langer, 0.0)) @ weights
+            lo = float(np.min(langer))
+            hi = lo + 1.0
+            while phase(hi) < math.pi * (n + 0.5):
+                lo, hi = hi, hi + 1.0
+            for _ in range(30):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if phase(mid) < math.pi * (n + 0.5) else (lo, mid)
+            return hi
+
+        for l in range(5):
+            for M in (100, 200, 500, 2500):
+                grid = flagship_problem(l, M=M).grid
+                langer = np.square(l / grid.points) + np.log(grid.points)
+                weights = grid.a / grid.phi1
+                for count in (1, 5, 20):
+                    got, want = (coulomb._window_ends(langer, weights,
+                                                      estimate(langer, weights, count - 1))
+                                 for estimate in (coulomb._level_estimate, unit_walk))
+                    assert got[:2] == want[:2], (l, M, count)
+
     def test_grid_window_keeps_the_logical_indices(self):
         grid = build_grid(1.5, 1.0, D4, 20)
         window = grid.window(-5, 12)
