@@ -121,7 +121,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # eig is unused here; perfbench/layers.py wraps this name
 from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, eig, lowest,
                         verified)
-from .sinc import (SincGrid, _d2_column, _de_factors, _de_grid, _de_inverse, _evaluate_on_points,
+from .sinc import (SincGrid, _d2_column, _de_grid, _de_inverse, _de_map, _evaluate_on_points,
                    _sinc_series, build_deltas, interpolate)
 
 # The two-grid solve runs on a step a <= _COARSE_STEP, and a bordered pencil at a
@@ -375,11 +375,12 @@ class _Pencil:
         out = (spectra.conj().T @ (symbol[:, None] * spectra)).real
         return out + X.T @ (self._left_rest() @ X)
 
-    def eigh(self, count: int) -> EigenDecomposition:
+    def eigh(self, count: int, *, vectors: bool = True) -> EigenDecomposition:
         """The lowest ``count`` pairs, ascending: ``lowest`` on the dense left
-        matrix, then the residual contract from the pieces.  The dense left,
-        overwritten by its Cholesky factor, is freed before the check."""
-        lam, V = lowest(self.dense_left(), count, self.R.__matmul__)
+        matrix (to the levels' accuracy alone without ``vectors``), then the
+        residual contract from the pieces.  The dense left, overwritten by
+        its Cholesky factor, is freed before the check."""
+        lam, V = lowest(self.dense_left(), count, self.R.__matmul__, vectors=vectors)
         return verified(lam, V, self.left_times(V), self.R @ V, self.left_norm(),
                         self.R.norm_inf())
 
@@ -480,7 +481,7 @@ def _de_lift(V: np.ndarray, coarse: SincGrid, grid: SincGrid) -> np.ndarray:
     t = _de_inverse(grid.points)
     tau = t / coarse.a
     k = np.rint(tau)
-    return (_sinc_series(V.T, -coarse.M, k, tau - k) * np.sqrt(_de_factors(t)[0] * grid.phi1)).T
+    return (_sinc_series(V.T, -coarse.M, k, tau - k) * np.sqrt(_de_map(t)[1] * grid.phi1)).T
 
 
 def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
@@ -523,14 +524,18 @@ def _two_grid(problem: CollocationProblem, pencil: _Pencil, count: int,
     return ritz if np.max(ritz.residuals) <= _RITZ_RESIDUAL else None
 
 
-def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
+def solve(problem: CollocationProblem, count: int, *, vectors: bool = True) -> list[EigenPair]:
     """Return the ``count`` lowest eigenpairs, sorted ascending.
 
     The pairs are those of the symmetric pencil (see module docstring),
     built once as ``_Pencil.of(problem)`` with its shift sigma, which is
     added back to each eigenvalue: by the two-grid solve on a step
     a <= _COARSE_STEP (unbordered) or a <= _COARSE_STEP / 2 (bordered), and
-    otherwise, or where its grid does not hold the pairs, directly.
+    otherwise, or where its grid does not hold the pairs, directly.  With
+    ``vectors=False`` the direct solve stops at the levels' accuracy
+    (``dense_eig.lowest``): the levels are as accurate, the coefficients
+    only as the residual contract requires.  The two-grid path is the same
+    either way, for its coarse vectors feed the Ritz step.
     Coefficient vectors are the nodal values f(x_m), sign-normalized so
     the largest-magnitude entry is positive.  A left matrix that is not
     positive definite, which means a non-positive lowest level, is an
@@ -544,7 +549,7 @@ def solve(problem: CollocationProblem, count: int) -> list[EigenPair]:
     coarse = stride > 1 if problem.omega is not None else grid.a <= _COARSE_STEP
     decomp = _two_grid(problem, pencil, count, stride) if coarse else None
     if decomp is None:
-        decomp = pencil.eigh(count)
+        decomp = pencil.eigh(count, vectors=vectors)
     V = decomp.eigenvectors
     nodal = V[:K]
     border = np.zeros(count)

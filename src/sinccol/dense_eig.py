@@ -32,6 +32,8 @@ __all__ = ["EigenDecomposition", "EigenSolveError", "InfiniteLevelError", "RESID
            "lowest", "verified"]
 
 RESIDUAL_TOL = 1e-8
+# ARPACK's tol for a solve that wants levels only (``lowest``)
+_LEVELS_TOL = 1e-10
 
 
 class EigenSolveError(RuntimeError):
@@ -110,8 +112,8 @@ def eig(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=V, residuals=residuals)
 
 
-def lowest(left: np.ndarray, count: int,
-           right_times: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def lowest(left: np.ndarray, count: int, right_times: Callable[[np.ndarray], np.ndarray], *,
+           vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The lowest ``count`` levels lambda of left v = lambda right v,
     ascending, and their vectors as the columns of an n x count array.
 
@@ -126,6 +128,14 @@ def lowest(left: np.ndarray, count: int,
     applies it by two triangular solves with L (dtrsv), and v = L^-T y.  For
     ``count >= n - 1``, beyond ARPACK's reach, the operator's matrix is
     formed from the n unit vectors and diagonalized (``scipy.linalg.eigh``).
+
+    With ``vectors=False`` only the levels are wanted: Lanczos stops once
+    each Ritz residual is _LEVELS_TOL of its mu, and seeks one level in a
+    subspace of 8 vectors at most, where ARPACK's default of 20 costs 21
+    products before its first test.  A Ritz value errs by about its
+    residual squared over the gap (Parlett, The Symmetric Eigenvalue
+    Problem, 1998, 11.7), so the levels stay at roundoff; the vectors,
+    still returned for the residual contract, carry the residual itself.
 
     Raises EigenSolveError if ``left`` is not positive definite or the
     eigensolve does not converge, and InfiniteLevelError if a requested mu
@@ -152,7 +162,9 @@ def lowest(left: np.ndarray, count: int,
     else:
         operator = LinearOperator((n, n), matvec=reduced, dtype=float)
         try:
-            mu, Y = eigsh(operator, k=count, which="LA", v0=np.ones(n), tol=0)
+            mu, Y = eigsh(operator, k=count, which="LA", v0=np.ones(n),
+                          tol=0 if vectors else _LEVELS_TOL,
+                          ncv=None if vectors or count > 1 else min(n, 8))
         except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenSolveError(f"Lanczos failed ({type(exc).__name__}): {exc}") from exc
     if not mu[0] > 0.0:

@@ -222,11 +222,17 @@ def map_inverse(z: np.ndarray | float) -> np.ndarray | float:
 #   r'' = sech^2 t - sigma (1 - sigma) cosh^2 t + (1 - sigma) s.
 
 
-def _de_map(t: np.ndarray) -> np.ndarray:
-    """x = psi(t) = ln(1 + e^(sinh t)), as max(s, 0) + log1p(e^(-|s|)), which
-    forms no exponential above 1; 0 once e^(sinh t) underflows."""
-    s = np.sinh(t)
-    return np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+def _de_map(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x = psi(t) = ln(1 + e^(sinh t)), psi'(t), r'(t) and r''(t) of the DE map
+    (comment above), from one s = sinh t and e = e^(-|s|): x as
+    max(s, 0) + log1p(e), 0 once e^s underflows, and sigma and 1 - sigma
+    from e, so that none forms an exponential above 1, overflows or cancels."""
+    s, cosh = np.sinh(t), np.cosh(t)
+    e = np.exp(-np.abs(s))
+    sigma = np.where(s >= 0.0, 1.0, e) / (1.0 + e)
+    rest = np.where(s >= 0.0, e, 1.0) / (1.0 + e)  # 1 - sigma
+    return (np.maximum(s, 0.0) + np.log1p(e), cosh * sigma, np.tanh(t) + rest * cosh,
+            1.0 / np.square(cosh) - sigma * rest * np.square(cosh) + rest * s)
 
 
 def _de_inverse(x: np.ndarray) -> np.ndarray:
@@ -236,17 +242,6 @@ def _de_inverse(x: np.ndarray) -> np.ndarray:
     log_expm1 = np.where(x > 30.0, big + np.log1p(-np.exp(-big)),
                          np.log(np.expm1(np.minimum(x, 30.0))))
     return np.arcsinh(log_expm1)
-
-
-def _de_factors(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi'(t), r'(t) and r''(t) of the DE map (comment above), with sigma and
-    1 - sigma formed from e^(-|s|), so that neither overflows or cancels."""
-    s, cosh = np.sinh(t), np.cosh(t)
-    e = np.exp(-np.abs(s))
-    sigma = np.where(s >= 0.0, 1.0, e) / (1.0 + e)
-    rest = np.where(s >= 0.0, e, 1.0) / (1.0 + e)  # 1 - sigma
-    return (cosh * sigma, np.tanh(t) + rest * cosh,
-            1.0 / np.square(cosh) - sigma * rest * np.square(cosh) + rest * s)
 
 
 def _snapped_ceil(v: float) -> int:
@@ -308,11 +303,10 @@ def _de_grid(like: SincGrid, h: float) -> SincGrid:
     lo, hi = _de_inverse(like.points[[0, -1]]) / h
     m = np.arange(math.ceil(lo), math.floor(hi) + 1)
     t = m * h
-    points = _de_map(t)
+    points, dpsi, dr, ddr = _de_map(t)
     if not (m.size and points[0] > 0.0):
         raise ValueError(f"the grid of step {h} over x = {like.points[0]}..{like.points[-1]} has "
                          "no node above x = 0")
-    dpsi, dr, ddr = _de_factors(t)
     return SincGrid(alpha=like.alpha, beta=like.beta, d=like.d, M=-int(m[0]), N=int(m[-1]), a=h,
                     points=points, phi1=1.0 / dpsi, weight=np.square(dpsi), dr=dr,
                     liouville=np.square(dr) / 4.0 - ddr / 2.0)

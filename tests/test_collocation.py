@@ -130,15 +130,15 @@ class TestMapData:
 
     def test_de_grid_gives_the_de_map_data(self):
         from sinccol.collocation import _DE_STEP
-        from sinccol.sinc import _de_factors, _de_grid, _de_map
+        from sinccol.sinc import _de_grid, _de_map
 
         # u = psi'^2 and r'^2/4 - r''/2 of the DE map at the nodes t = m h inside
         # the x-range of the grid it is formed for
         like = build_grid(2.5, 1.0, D4, 200)
         grid = _de_grid(like, _DE_STEP)
         t = grid.indices * _DE_STEP
-        dpsi, dr, ddr = _de_factors(t)
-        assert grid.a == _DE_STEP and np.array_equal(grid.points, _de_map(t))
+        x, dpsi, dr, ddr = _de_map(t)
+        assert grid.a == _DE_STEP and np.array_equal(grid.points, x)
         assert like.points[0] <= grid.points[0] and grid.points[-1] <= like.points[-1]
         assert np.array_equal(grid.weight, np.square(dpsi))
         assert np.array_equal(grid.liouville, np.square(dr) / 4.0 - ddr / 2.0)
@@ -681,7 +681,8 @@ class TestTwoGrid:
         problem = flagship_problem(4, M=300)
         if fault == "underflow":
             de_map = sinc._de_map
-            monkeypatch.setattr(sinc, "_de_map", lambda t: np.where(t == t[0], 0.0, de_map(t)))
+            monkeypatch.setattr(sinc, "_de_map", lambda t: (np.where(t == t[0], 0.0, de_map(t)[0]),
+                                                            *de_map(t)[1:]))
         else:
             bad = sinc._de_grid(problem.grid, collocation._DE_STEP).points[40]
             q = log_coulomb_potential(4)

@@ -259,7 +259,9 @@ class TestWindow:
             want = np.array([p.eigenvalue for p in paper_pairs[l][:count]])
             got = np.array([s.eigenvalue for s in windowed[count][l]])
             assert np.max(np.abs(got / want - 1.0)) <= 1e-13
-            assert np.array_equal(table[:, l], got)
+            # eigen_table's direct solves stop at the levels' accuracy: 4e-15
+            # at most from solve_states's over l = 0..4, M = 25..1000 when written
+            assert np.max(np.abs(table[:, l] / got - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("count", [5, 20])
     def test_window_lies_inside_the_paper_grid(self, windowed, count):
@@ -428,3 +430,115 @@ class TestBorderCut:
             cut = coulomb._border_cut(window, count, math.inf)
             assert cut == max(0, min(window.size - 401, window.size - count - 1))
         assert coulomb._border_cut(window, 5, 0.0) == 0
+
+
+def recorded_eigsh(monkeypatch):
+    """Wrap the Lanczos call of ``dense_eig.lowest``: each call appends the
+    operator's size n, its keyword arguments and its operator applications."""
+    from scipy.sparse.linalg import LinearOperator
+
+    import sinccol.dense_eig as dense_eig
+
+    calls = []
+    real = dense_eig.eigsh
+
+    def recorded(operator, **kwargs):
+        call = {"n": operator.shape[0], "kwargs": kwargs, "applications": 0}
+        calls.append(call)
+
+        def applied(y):
+            call["applications"] += 1
+            return operator.matvec(y)
+
+        return real(LinearOperator(operator.shape, matvec=applied, dtype=float), **kwargs)
+
+    monkeypatch.setattr(dense_eig, "eigsh", recorded)
+    return calls
+
+
+class TestLevelsOnly:
+    """eigen_table wants levels alone, so its direct solves stop Lanczos at
+    the levels' accuracy; solve_states and every two-grid coarse solve
+    keep ARPACK's full accuracy (tol = 0) and default subspace."""
+
+    @staticmethod
+    def built_pencils(monkeypatch):
+        import sinccol.collocation as collocation
+
+        built = []
+        build = collocation._Pencil.dense_left
+        monkeypatch.setattr(collocation._Pencil, "dense_left",
+                            lambda pencil: built.append(pencil.column.size) or build(pencil))
+        return built
+
+    @pytest.mark.parametrize("M, counts", [(25, (1, 5)), (50, (1, 5)), (100, (1, 5)),
+                                           (200, (1, 5)), (500, (1, 5, 20))])
+    def test_levels_match_the_vector_path(self, monkeypatch, M, counts):
+        import sinccol.coulomb as coulomb
+
+        built = self.built_pencils(monkeypatch)
+        for l in range(5):
+            for count in counts:
+                built.clear()
+                want = np.array([s.eigenvalue for s in solve_states(l, count, M=M)])
+                vector_pencils = built[:]
+                built.clear()
+                got = eigen_table([l], count, M=M)[:, 0]
+                # 4e-15 at most when written (l = 0..4, M = 25..1000, counts 1..20)
+                assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+                assert built == vector_pencils
+                pairs = coulomb._windowed_pairs(l, count, 1.0, D4, M, vectors=False)[1]
+                assert all(p.residual <= 1e-8 for p in pairs)
+
+    def test_a_non_finite_level_is_reported_on_the_levels_path(self):
+        from sinccol.dense_eig import InfiniteLevelError
+
+        with pytest.raises(InfiniteLevelError, match="state n = 150 has no finite level"):
+            eigen_table([0], 151, M=100)
+
+    def test_the_vector_path_keeps_the_full_lanczos(self, monkeypatch, capsys):
+        from sinccol.cli import main
+
+        calls = recorded_eigsh(monkeypatch)
+        for l in range(5):
+            solve_states(l, 5, M=100)
+        assert main(["wavefunction", "--l", "1", "--n", "4", "--M", "100", "--samples", "3"]) == 0
+        assert calls and all(c["kwargs"]["tol"] == 0 and c["kwargs"].get("ncv") is None
+                             for c in calls)
+
+    def test_direct_solves_stop_at_the_levels_tolerance(self, monkeypatch):
+        from sinccol.dense_eig import _LEVELS_TOL
+
+        calls = recorded_eigsh(monkeypatch)
+        eigen_table(range(5), 5, M=100)  # every window is solved directly
+        eigen_table([1], 1, M=100)
+        assert [c["kwargs"]["tol"] for c in calls] == [_LEVELS_TOL] * 6
+        assert [c["kwargs"]["ncv"] for c in calls] == [None] * 5 + [8]
+
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_two_grid_coarse_solves_keep_full_accuracy(self, monkeypatch, l):
+        import sinccol.coulomb as coulomb
+
+        fine = []
+        real_solve = coulomb.solve
+        monkeypatch.setattr(coulomb, "solve", lambda problem, count, **kw: fine.append(
+            problem.grid.size) or real_solve(problem, count, **kw))
+        calls = recorded_eigsh(monkeypatch)
+        for M in (100, 150, 200):
+            eigen_table([l], 1, M=M)
+        # converge --n 0 at M = 100..200: each window holds the ground state,
+        # so only its DE grid is solved, whose vectors feed the Ritz step
+        assert len(calls) == 3 and all(c["n"] < K for c, K in zip(calls, fine))
+        assert all(c["kwargs"]["tol"] == 0 and c["kwargs"].get("ncv") is None for c in calls)
+
+    @pytest.mark.parametrize("l, count, parent, applied", [(1, 1, 21, 13), (4, 5, 47, 33)])
+    def test_operator_applications(self, monkeypatch, l, count, parent, applied):
+        # direct solves at M = 100: with tol = 0 and ARPACK's default subspace
+        # of 20 vectors they took 21 and 47 applications
+        calls = recorded_eigsh(monkeypatch)
+        eigen_table([l], count, M=100)
+        (call,) = calls
+        assert call["applications"] == applied < parent
+        calls.clear()
+        solve_states(l, count, M=100)
+        assert [c["applications"] for c in calls] == [parent]

@@ -178,6 +178,15 @@ class TestPencil:
         with pytest.raises(EigenSolveError, match="finite"):
             self.solve(left, right, 3)
 
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_levels_only_match_the_full_lanczos(self, count):
+        left, right = self.random_pencil(40, 11)
+        full = lowest(left.copy(), count, right.__matmul__)[0]
+        lam, V = lowest(left.copy(), count, right.__matmul__, vectors=False)
+        assert np.max(np.abs(lam / full - 1.0)) <= 1e-14
+        r = left @ V - right @ V * lam
+        assert np.max(np.abs(r)) <= RESIDUAL_TOL * np.max(np.abs(left)) * np.max(np.abs(V))
+
     def test_indefinite_left_matrix(self):
         left = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(EigenSolveError, match="not positive definite"):

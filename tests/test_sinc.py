@@ -113,7 +113,7 @@ class TestDEMap:
     def test_round_trip(self):
         t = np.linspace(-6.5, 6.5, 2001)
         # 4.4e-16 when written
-        assert np.max(np.abs(sinc._de_inverse(sinc._de_map(t)) - t)) <= 1e-15
+        assert np.max(np.abs(sinc._de_inverse(sinc._de_map(t)[0]) - t)) <= 1e-15
 
     def test_map_and_factors_match_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -123,8 +123,7 @@ class TestDEMap:
             return mpmath.log(mpmath.cosh(T)) - mpmath.log1p(mpmath.exp(-mpmath.sinh(T)))
 
         t = np.linspace(-6.0, 6.5, 26)
-        x = sinc._de_map(t)
-        dpsi, dr, ddr = sinc._de_factors(t)
+        x, dpsi, dr, ddr = sinc._de_map(t)
         for j, tj in enumerate(t):
             T = mpmath.mpf(tj)
             # x and psi' carry the rounding of sinh t, eps cosh t |t| relative
@@ -133,11 +132,35 @@ class TestDEMap:
             assert abs(dr[j] - mpmath.diff(r, T)) <= 1e-15 * (1 + abs(dr[j]))
             assert abs(ddr[j] - mpmath.diff(r, T, 2)) <= 1e-15 * (1 + abs(ddr[j]))
 
+    @pytest.mark.parametrize("M", [100, 500])
+    def test_de_grid_keeps_the_two_pass_map_data(self, M):
+        # _de_map forms sinh t and e^(-|sinh t|) once for the points and the
+        # factors; written out here as two passes over them, each per-node
+        # array of the DE grid of every l = 1..4 window is the same bit for bit
+        from sinccol.collocation import _DE_STEP
+        from sinccol.coulomb import _windowed_pairs
+
+        for l in range(1, 5):
+            grid = sinc._de_grid(_windowed_pairs(l, 5, 1.0, math.pi / 4, M)[0], _DE_STEP)
+            t = grid.indices * _DE_STEP
+            s = np.sinh(t)
+            x = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+            s, cosh = np.sinh(t), np.cosh(t)
+            e = np.exp(-np.abs(s))
+            sigma = np.where(s >= 0.0, 1.0, e) / (1.0 + e)
+            rest = np.where(s >= 0.0, e, 1.0) / (1.0 + e)
+            dpsi, dr = cosh * sigma, np.tanh(t) + rest * cosh
+            ddr = 1.0 / np.square(cosh) - sigma * rest * np.square(cosh) + rest * s
+            want = {"points": x, "phi1": 1.0 / dpsi, "weight": np.square(dpsi), "dr": dr,
+                    "liouville": np.square(dr) / 4.0 - ddr / 2.0}
+            arrays = {k: v for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
+            assert arrays.keys() == want.keys()
+            assert all(np.array_equal(arrays[k], want[k]) for k in want)
+
     def test_extreme_arguments_are_finite_without_a_warning(self):
         # e^(sinh t) overflows at t = 8 and e^x at x = 1e300 if either is formed
         t = np.array([-8.0, 8.0])
-        assert np.all(np.isfinite(sinc._de_map(t)))
-        assert all(np.all(np.isfinite(f)) for f in sinc._de_factors(t))
+        assert all(np.all(np.isfinite(f)) for f in sinc._de_map(t))
         assert np.all(np.isfinite(sinc._de_inverse(np.array([1e-300, 30.0, 30.5, 1e300]))))
 
 
