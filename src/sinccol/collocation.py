@@ -60,19 +60,20 @@ the Toeplitz block.  G and R are then arrowheads: diag(g) and diag(u)
 with the border row and column and the corner.  Each pair carries its
 border coefficient c (``EigenPair.border``), so a pencil solved on the
 right part of a window has its f continued over the rest by the border
-alone, c omega/sqrt(phi') (``_border_extended``; ``coulomb`` cuts the l = 0
-pencil so).
+alone, c omega/sqrt(phi') (``coulomb`` cuts the l = 0 pencil so, and
+continues its pairs by ``_border_extended``).
 
 The paper's M sets a step far finer than the states need: the flagship
 levels converge like exp(-8.5/a) and reach roundoff by a = 0.2, while
 M = 500 gives a = 0.047 at l = 4.  So ``solve`` is a two-grid eigenvalue
-scheme (Xu & Zhou, Math. Comp. 70 (2001) 17): it solves a small pencil of
-the same potential on a coarse grid, lifts its vectors onto the given
-grid's nodes, and finishes by Rayleigh-Ritz on the given pencil from its
-O(K log K) products, so the given grid's dense matrix is never built.  An
-unbordered pencil takes that path at any step a <= _COARSE_STEP whose grid
-holds the states (``_holds``), a bordered one at a stride =
-max(1, floor(_COARSE_STEP / a)) > 1.
+scheme (Xu & Zhou, Math. Comp. 70 (2001) 17), all of it in ``_two_grid``:
+it solves a small pencil of the same potential on a coarse grid, lifts its
+vectors onto the given grid's nodes, and finishes by Rayleigh-Ritz on the
+given pencil from its O(K log K) products, so the given grid's dense
+matrix is never built.  An unbordered pencil takes that path at any step
+a <= _COARSE_STEP whose grid holds the states (``_holds``), a bordered one
+at a stride = max(1, floor(_COARSE_STEP / a)) > 1; wherever ``_two_grid``
+returns None, ``solve`` solves the given pencil directly.
 
 An unbordered pencil takes its coarse grid from the double-exponential
 (DE) map x = psi(t) = ln(1 + e^(sinh t)) (Mori & Sugihara, J. Comput.
@@ -95,14 +96,16 @@ would need a tail beyond it.  Every nested node is a node of the given grid:
 fine node j sits at coarse index (j - first)/stride, where the same
 series is summed (``_lift``), and the border coefficient is the same on
 both grids.  Products, norms and the projection come from the pencil's
-pieces, T by the FFT and G and R in O(K).  ``solve`` solves the given
-pencil directly instead elsewhere and on three exits: a DE grid whose
-ends lie less than _DECAYED's 12 decades of WKB decay past the states,
+pieces, T by the FFT and G and R in O(K).  Besides a coarse grid that
+cannot be formed or holds too few nodes, ``_two_grid`` has three exits to
+the direct solve: a DE grid that does not hold the WKB window of the
+highest state, _DECAYED's 12 decades of decay past its turning points,
 which ``_holds`` finds by Bohr-Sommerfeld on the DE pencil's g and u before
-it is solved (a state the grid's end truncates); a coarse vector that has
-not decayed to _DECAYED of its peak at both ends (a state the coarse step
-does not resolve); and Ritz pairs that miss the residual contract or whose
-residual is above _RITZ_RESIDUAL.  The memory check in
+it is solved (a state the grid's end truncates; ``_window_ends`` is the
+decay sum that also sets ``coulomb``'s 17-decade window); a coarse vector
+that has not decayed to _DECAYED of its peak at both ends (a state the
+coarse step does not resolve); and Ritz pairs that miss the residual
+contract or whose residual is above _RITZ_RESIDUAL.  The memory check in
 ``_Pencil.dense_left`` guards the one dense matrix that is built: the
 coarse grid's on the two-grid path, the given grid's on the direct one.
 """
@@ -111,7 +114,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -431,47 +434,31 @@ def _level_estimate(q: np.ndarray, weights: np.ndarray, n: int, steps: int = 30)
     return hi
 
 
+def _window_ends(q: np.ndarray, weights: np.ndarray, lam: float,
+                 decay: float) -> tuple[int, int, float]:
+    """Offsets of the first and last node whose WKB decay, the sum of
+    weights sqrt(max(q - lambda, 0)) from the outermost turning points of q,
+    is below ``decay``, and the decay from the outer turning point to the
+    grid's right end.  The window lies strictly inside the grid exactly when
+    the grid's ends are ``decay`` or more past the level's turning points."""
+    allowed = np.flatnonzero(q <= max(lam, np.min(q)))
+    kappa = np.sqrt(np.maximum(q - lam, 0.0)) * weights
+    left = np.count_nonzero(np.cumsum(kappa[allowed[0]::-1]) < decay)
+    tail = np.cumsum(kappa[allowed[-1]:])
+    right = np.count_nonzero(tail < decay)
+    return int(allowed[0]) - left + 1, int(allowed[-1]) + right - 1, float(tail[-1])
+
+
 def _holds(problem: CollocationProblem, count: int) -> bool:
     """Whether the grid of the unbordered ``problem`` holds its lowest ``count``
     states, by WKB on the pencil's own g, u and step a: lambda = lambda_(count-1)
-    of a sum sqrt(max(lambda u - g, 0)) = pi (count - 1/2), and a decay
-    a sum sqrt(max(g - lambda u, 0)) of _DECAYED's 12 decades at least from the
-    outermost turning points to both grid ends.  Eight bisections: the upper
-    end of the bracket errs towards "not held"."""
+    of a sum sqrt(max(lambda u - g, 0)) = pi (count - 1/2), and a window of
+    _DECAYED's 12 decades of decay about it strictly inside the grid.  Eight
+    bisections: the upper end of the bracket errs towards "not held"."""
     q, weights = problem.g / problem.weight, problem.grid.a * np.sqrt(problem.weight)
-    lam = _level_estimate(q, weights, count - 1, steps=8)
-    kappa = np.sqrt(np.maximum(q - lam, 0.0)) * weights
-    allowed = (q <= lam).nonzero()[0]
-    return min(kappa[:allowed[0]].sum(), kappa[allowed[-1]:].sum()) >= -math.log(_DECAYED)
-
-
-def _coarse_vectors(coarse: Callable[[], SincGrid], potential: Callable[[np.ndarray], np.ndarray],
-                    count: int) -> tuple[SincGrid, np.ndarray] | None:
-    """The grid ``coarse()`` and the lowest ``count`` eigenvectors of the pencil
-    of ``potential`` on it, or None where that grid cannot be formed, holds
-    fewer than count + 2 nodes (vectors that vanish at both ends span only
-    its inner ones), has the potential not finite on a node, does not hold
-    the states by ``_holds`` (unbordered), fails its solve or truncates a
-    state (a vector above _DECAYED of its peak at an end node).  The memory
-    refusal of ``dense_left`` is raised, not caught."""
-    try:
-        grid = coarse()
-        if grid.size < count + 2:
-            return None
-        with np.errstate(all="ignore"):
-            problem = assemble(grid, potential)
-    except ValueError:
-        return None
-    if problem.omega is None and not _holds(problem, count):
-        return None
-    try:
-        V = _Pencil.of(problem).eigh(count).eigenvectors
-    except EigenSolveError:
-        return None
-    ends = np.maximum(np.abs(V[0]), np.abs(V[grid.size - 1]))
-    if np.any(ends > _DECAYED * np.max(np.abs(V[:grid.size]), axis=0)):
-        return None
-    return grid, V
+    lo, hi, _ = _window_ends(q, weights, _level_estimate(q, weights, count - 1, steps=8),
+                             -math.log(_DECAYED))
+    return 0 < lo and hi < problem.grid.size - 1
 
 
 def _de_lift(V: np.ndarray, coarse: SincGrid, grid: SincGrid) -> np.ndarray:
@@ -498,20 +485,40 @@ def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
     return _sinc_series(V.T, 0, k.astype(float), (d - stride * k) / stride).T
 
 
-def _two_grid(problem: CollocationProblem, pencil: _Pencil, count: int,
-              stride: int) -> EigenDecomposition | None:
+def _two_grid(problem: CollocationProblem, pencil: _Pencil,
+              count: int) -> EigenDecomposition | None:
     """The lowest ``count`` pairs of ``pencil``, the pencil of ``problem``, by
     Rayleigh-Ritz on the lifted coarse vectors of the DE grid, or of the
-    nested grid of step stride*a when bordered (module docstring); or None
-    where that basis does not hold them: no coarse vectors (among them a DE
-    grid that ``_holds`` refuses, before any solve), or Ritz pairs that miss
-    the residual contract or have a residual above _RITZ_RESIDUAL."""
+    nested grid of step stride*a when bordered (module docstring).  None on
+    a step above _COARSE_STEP, at a bordered stride floor(_COARSE_STEP / a)
+    of 1, and where the coarse grid cannot be formed, holds fewer than
+    count + 2 nodes (vectors that vanish at both ends span only its inner
+    ones), has the potential not finite on a node or is refused by
+    ``_holds``, all before any solve; where the coarse solve fails or
+    truncates a state (a vector above _DECAYED of its peak at an end node);
+    and where the Ritz pairs miss the residual contract or have a residual
+    above _RITZ_RESIDUAL.  The memory refusal of ``dense_left`` is raised."""
     grid, bordered = problem.grid, problem.omega is not None
-    found = _coarse_vectors(lambda: grid.nested(stride) if bordered else _de_grid(grid, _DE_STEP),
-                            problem.potential, count)
-    if found is None:
+    stride = max(1, int(_COARSE_STEP / grid.a))
+    if grid.a > _COARSE_STEP or (bordered and stride == 1):
         return None
-    coarse, V = found
+    try:
+        coarse = grid.nested(stride) if bordered else _de_grid(grid, _DE_STEP)
+        if coarse.size < count + 2:
+            return None
+        with np.errstate(all="ignore"):
+            coarse_problem = assemble(coarse, problem.potential)
+    except ValueError:
+        return None
+    if not bordered and not _holds(coarse_problem, count):
+        return None
+    try:
+        V = _Pencil.of(coarse_problem).eigh(count).eigenvectors
+    except EigenSolveError:
+        return None
+    ends = np.maximum(np.abs(V[0]), np.abs(V[coarse.size - 1]))
+    if np.any(ends > _DECAYED * np.max(np.abs(V[:coarse.size]), axis=0)):
+        return None
     if bordered:  # v is a function of z; the border coefficient is the same on both grids
         X = np.vstack((_lift(V[:coarse.size], stride, grid.M - coarse.M * stride, grid.size),
                        V[coarse.size]))
@@ -529,9 +536,8 @@ def solve(problem: CollocationProblem, count: int, *, vectors: bool = True) -> l
 
     The pairs are those of the symmetric pencil (see module docstring),
     built once as ``_Pencil.of(problem)`` with its shift sigma, which is
-    added back to each eigenvalue: by the two-grid solve on a step
-    a <= _COARSE_STEP (unbordered) or a <= _COARSE_STEP / 2 (bordered), and
-    otherwise, or where its grid does not hold the pairs, directly.  With
+    added back to each eigenvalue: by the two-grid solve (``_two_grid``)
+    where it applies and holds the pairs, and directly otherwise.  With
     ``vectors=False`` the direct solve stops at the levels' accuracy
     (``dense_eig.lowest``): the levels are as accurate, the coefficients
     only as the residual contract requires.  The two-grid path is the same
@@ -545,11 +551,7 @@ def solve(problem: CollocationProblem, count: int, *, vectors: bool = True) -> l
     K = grid.size
     _validate_count(count, K)
     pencil = _Pencil.of(problem)
-    stride = max(1, int(_COARSE_STEP / grid.a))
-    coarse = stride > 1 if problem.omega is not None else grid.a <= _COARSE_STEP
-    decomp = _two_grid(problem, pencil, count, stride) if coarse else None
-    if decomp is None:
-        decomp = pencil.eigh(count, vectors=vectors)
+    decomp = _two_grid(problem, pencil, count) or pencil.eigh(count, vectors=vectors)
     V = decomp.eigenvectors
     nodal = V[:K]
     border = np.zeros(count)
@@ -562,15 +564,6 @@ def solve(problem: CollocationProblem, count: int, *, vectors: bool = True) -> l
     return [EigenPair(eigenvalue=float(pencil.sigma + lam), coefficients=sign[j] * f[:, j],
                       residual=float(decomp.residuals[j]), border=float(sign[j] * border[j]))
             for j, lam in enumerate(decomp.eigenvalues)]
-
-
-def _border_extended(pair: EigenPair, grid: SincGrid) -> EigenPair:
-    """``pair``, solved on the bordered pencil of a window of ``grid`` that ends
-    where ``grid`` does, as a pair on all of ``grid``: the nodes left of the
-    window hold the border alone, f_m = c omega_m / sqrt(phi'(x_m))."""
-    cut = grid.size - pair.coefficients.size
-    head = pair.border * grid.dr[:cut] / np.sqrt(grid.phi1[:cut])
-    return replace(pair, coefficients=np.concatenate((head, pair.coefficients)))
 
 
 def reconstruct(grid: SincGrid, pair: EigenPair, x: np.ndarray | float) -> np.ndarray | float:

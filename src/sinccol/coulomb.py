@@ -27,13 +27,13 @@ on the whole window, the border alone holding the nodes left of the cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .collocation import (_COARSE_STEP, CollocationProblem, EigenPair, _border_extended,
-                          _level_estimate, assemble, solve)
+from .collocation import (_COARSE_STEP, CollocationProblem, EigenPair, _level_estimate,
+                          _window_ends, assemble, solve)
 from .dense_eig import EigenSolveError, InfiniteLevelError, _validate_count
 from .sinc import SincGrid, build_grid, interpolate
 
@@ -116,18 +116,6 @@ def _flagship_grid(l: int, beta: float, d: float, M: int) -> SincGrid:
     return build_grid(alpha=l + 0.5, beta=beta, d=d, M=M)
 
 
-def _window_ends(langer: np.ndarray, weights: np.ndarray, lam: float) -> tuple[int, int, float]:
-    """Offsets of the first and last point whose WKB decay int sqrt(q - lambda)
-    dx from the outermost turning points of the Langer q is below _WINDOW_DECAY,
-    and the decay from the outer turning point to the grid's right end."""
-    allowed = np.flatnonzero(langer <= max(lam, np.min(langer)))
-    kappa = np.sqrt(np.maximum(langer - lam, 0.0)) * weights
-    left = np.count_nonzero(np.cumsum(kappa[allowed[0]::-1]) < _WINDOW_DECAY)
-    tail = np.cumsum(kappa[allowed[-1]:])
-    right = np.count_nonzero(tail < _WINDOW_DECAY)
-    return int(allowed[0]) - left + 1, int(allowed[-1]) + right - 1, float(tail[-1])
-
-
 def _border_cut(window: SincGrid, count: int, tail: float) -> int:
     """The offset in ``window`` of the first node at which the bordered l = 0
     pencil is solved.  The sinc part v - c omega of a state decays like
@@ -147,6 +135,15 @@ def _border_cut(window: SincGrid, count: int, tail: float) -> int:
     return max(0, min(first, window.size - count - 1))
 
 
+def _border_extended(pair: EigenPair, grid: SincGrid) -> EigenPair:
+    """``pair``, solved on the bordered pencil of a window of ``grid`` that ends
+    where ``grid`` does (``_border_cut``), as a pair on all of ``grid``: the
+    nodes left of the cut hold the border alone, f_m = c omega_m / sqrt(phi'(x_m))."""
+    cut = grid.size - pair.coefficients.size
+    head = pair.border * grid.dr[:cut] / np.sqrt(grid.phi1[:cut])
+    return replace(pair, coefficients=np.concatenate((head, pair.coefficients)))
+
+
 def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int, *, vectors: bool = True):
     """The window of the paper's grid that holds the lowest ``count`` flagship
     pairs, and those pairs (module docstring), solved for their levels alone
@@ -159,19 +156,18 @@ def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int, *, vector
     # formed directly: adding 1/(4x^2) to the l = 0 potential cancels ln x
     langer = np.square(l / grid.points) + np.log(grid.points)
     weights = grid.a / grid.phi1
-    lo, hi, tail = _window_ends(langer, weights, _level_estimate(langer, weights, count - 1))
-    # passed only when set: the vector path still calls solve(problem, count)
-    levels_only = {} if vectors else {"vectors": False}
+    lo, hi, tail = _window_ends(langer, weights, _level_estimate(langer, weights, count - 1),
+                                _WINDOW_DECAY)
     for _ in range(2):
         window = grid.window(lo - grid.M, hi - grid.M)
         cut = _border_cut(window, count, tail) if l == 0 else 0
         try:
             pairs = solve(assemble(grid.window(lo + cut - grid.M, hi - grid.M),
-                                   log_coulomb_potential(l)), count, **levels_only)
+                                   log_coulomb_potential(l)), count, vectors=vectors)
         except InfiniteLevelError as exc:
             raise InfiniteLevelError(f"state n = {count - 1} has no finite level on the grid at "
                                      f"l = {l}, M = {M}; increase M") from exc
-        held = _window_ends(langer, weights, pairs[-1].eigenvalue)
+        held = _window_ends(langer, weights, pairs[-1].eigenvalue, _WINDOW_DECAY)
         if lo <= held[0] and held[1] <= hi:
             break
         lo, hi, tail = min(lo, held[0]), max(hi, held[1]), min(tail, held[2])

@@ -139,7 +139,8 @@ def lowest(left: np.ndarray, count: int, right_times: Callable[[np.ndarray], np.
 
     Raises EigenSolveError if ``left`` is not positive definite or the
     eigensolve does not converge, and InfiniteLevelError if a requested mu
-    is not positive.
+    is at most n eps times the largest one: an infinite level, which Lanczos
+    returns as a mu of roundoff (1e-62 to 1e-50) rather than 0.
     """
     n = left.shape[0]
     _validate_count(count, n)
@@ -167,8 +168,9 @@ def lowest(left: np.ndarray, count: int, right_times: Callable[[np.ndarray], np.
                           ncv=None if vectors or count > 1 else min(n, 8))
         except ArpackError as exc:  # ArpackNoConvergence included
             raise EigenSolveError(f"Lanczos failed ({type(exc).__name__}): {exc}") from exc
-    if not mu[0] > 0.0:
-        raise InfiniteLevelError(f"only {np.count_nonzero(mu > 0.0)} of the {count} requested "
+    floor = n * np.finfo(float).eps * mu[-1]
+    if not mu[0] > floor:
+        raise InfiniteLevelError(f"only {np.count_nonzero(mu > floor)} of the {count} requested "
                                  "eigenvalues are finite")
     V = np.array([blas.dtrsv(L, y, lower=1, trans=1) for y in Y.T]).T
     return 1.0 / mu[::-1], V[:, ::-1]

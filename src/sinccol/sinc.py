@@ -163,7 +163,8 @@ def sinc_basis(m: int, a: float, x: np.ndarray | float) -> np.ndarray | float:
     """Translated cardinal function sin(pi*(x - m*a)/a) / (pi*(x - m*a)/a).
 
     Takes the value 1 at x = m*a (removable singularity) and 0 at every
-    other grid multiple of a.
+    other grid multiple of a.  Public API, and the term-by-term reference
+    against which the tests check the summed series of ``interpolate``.
     """
     if a <= 0:
         raise ValueError(f"step size a must be positive, got {a}")

@@ -296,7 +296,8 @@ class TestWindow:
 
         solves = []
         real_solve = coulomb.solve
-        monkeypatch.setattr(coulomb, "solve", lambda *a: solves.append(a) or real_solve(*a))
+        monkeypatch.setattr(coulomb, "solve", lambda *a, **kw: solves.append(a)
+                            or real_solve(*a, **kw))
         # lambda_0: its window is too short for the fifth state
         monkeypatch.setattr(coulomb, "_level_estimate", lambda langer, weights, n: 2.3963)
         states = solve_states(4, 5, M=500)
@@ -308,6 +309,7 @@ class TestWindow:
 
     def test_the_level_estimate_keeps_the_window_ends_of_a_unit_walk(self):
         import sinccol.coulomb as coulomb
+        from sinccol.collocation import _window_ends
 
         def unit_walk(langer, weights, n):
             # the bracket grown by a constant width of 1 before 30 bisections:
@@ -329,8 +331,8 @@ class TestWindow:
                 langer = np.square(l / grid.points) + np.log(grid.points)
                 weights = grid.a / grid.phi1
                 for count in (1, 5, 20):
-                    got, want = (coulomb._window_ends(langer, weights,
-                                                      estimate(langer, weights, count - 1))
+                    got, want = (_window_ends(langer, weights, estimate(langer, weights, count - 1),
+                                              coulomb._WINDOW_DECAY)
                                  for estimate in (coulomb._level_estimate, unit_walk))
                     assert got[:2] == want[:2], (l, M, count)
 
@@ -361,8 +363,8 @@ class TestBorderCut:
 
         sizes = []
         real_solve = coulomb.solve
-        monkeypatch.setattr(coulomb, "solve", lambda problem, count: sizes.append(
-            problem.grid.size) or real_solve(problem, count))
+        monkeypatch.setattr(coulomb, "solve", lambda problem, count, **kw: sizes.append(
+            problem.grid.size) or real_solve(problem, count, **kw))
         return sizes
 
     @pytest.mark.parametrize("M, count", [(300, 3), (500, 5), (1000, 5), (1500, 5)])
@@ -399,8 +401,8 @@ class TestBorderCut:
 
         solved = []
         real_solve = coulomb.solve
-        monkeypatch.setattr(coulomb, "solve", lambda problem, count: solved.append(
-            real_solve(problem, count)) or solved[-1])
+        monkeypatch.setattr(coulomb, "solve", lambda problem, count, **kw: solved.append(
+            real_solve(problem, count, **kw)) or solved[-1])
         states = coulomb._windowed_pairs(0, 5, 1.0, D4, 500)[1]
         grid = flagship_problem(0, M=500).grid
         cut = grid.size - solved[0][0].coefficients.size

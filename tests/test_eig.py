@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as npst
 
 from sinccol import RESIDUAL_TOL, EigenSolveError
 from sinccol.collocation import _Pencil
-from sinccol.dense_eig import eig, lowest, verified
+from sinccol.dense_eig import InfiniteLevelError, eig, lowest, verified
 
 from oracles import charpoly_coefficients, charpoly_eval, dense_right
 
@@ -177,6 +177,16 @@ class TestPencil:
         assert np.allclose(dec.eigenvalues, [2.0, 5.0], rtol=1e-14)
         with pytest.raises(EigenSolveError, match="finite"):
             self.solve(left, right, 3)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_singular_right_matrix_under_lanczos(self, vectors):
+        # ten zero weights: Lanczos returns their mu as roundoff, not 0, which
+        # read as the levels 3.2e61 and 1.3e62 before the floor n eps mu_max
+        left = np.diag(np.arange(1.0, 31.0))
+        right = np.diag(np.r_[np.ones(20), np.zeros(10)])
+        assert self.solve(left, right, 20).eigenvalues[-1] == pytest.approx(20.0, rel=1e-12)
+        with pytest.raises(InfiniteLevelError, match="only 20 of the 22 requested"):
+            lowest(left.copy(), 22, right.__matmul__, vectors=vectors)
 
     @pytest.mark.parametrize("count", [1, 4])
     def test_levels_only_match_the_full_lanczos(self, count):
