@@ -25,8 +25,8 @@ becomes -v'' + g v = lambda u v in z with
 
     g = u q + r'^2/4 - r''/2    (u q + (1 - u)(1 + 3u)/4 on z = ln sinh x),
 
-where the grid holds u and r'^2/4 - r''/2 at its nodes (``sinc.SincGrid``),
-and collocation gives the symmetric-definite pencil
+where the grid, not the problem, holds u and r'^2/4 - r''/2 at its nodes
+(``sinc.SincGrid``), and collocation gives the symmetric-definite pencil
 
     (-d2/a^2 + diag(g)) v = lambda diag(u) v,
 
@@ -45,23 +45,23 @@ kernel ``dense_eig.lowest``, ``_Pencil.ritz`` solves a Rayleigh-Ritz
 projection, and both check their pairs by ``dense_eig.verified`` from
 products and norms taken from the pencil's pieces.
 
-On a grid with alpha = 1/2 (critical coupling, f ~ x^(1/2)) v tends to a
-nonzero constant as z -> -inf, which no truncated sinc sum holds.  There
-the pencil is bordered with one boundary basis function
-omega(z) = 1/(1 + e^(2z)) = r'(z) (Stenger, Numerical Methods Based on Sinc
-and Analytic Functions, 1993) by Rayleigh-Ritz: its entries are the integrals
-of v' w' + g v w and u v w, evaluated with the grid's own sinc
-quadrature, using omega' = -2 omega (1 - omega) and
-omega'' = 4 omega (1 - omega)(1 - 2 omega).  For alpha > 1/2 the
-function is left out: g tends to l^2 at the left end and the integral of
-g omega^2 diverges.  The bordered pencil is not shifted (sigma = 0): there
-g/u tends to ln x + 1/2, unbounded below, and the border is no part of
-the Toeplitz block.  G and R are then arrowheads: diag(g) and diag(u)
-with the border row and column and the corner.  Each pair carries its
-border coefficient c (``EigenPair.border``), so a pencil solved on the
-right part of a window has its f continued over the rest by the border
-alone, c omega/sqrt(phi') (``coulomb`` cuts the l = 0 pencil so, and
-continues its pairs by ``_border_extended``).
+On a grid with alpha = 1/2 (critical coupling, f ~ x^(1/2);
+``SincGrid.bordered``) v tends to a nonzero constant as z -> -inf, which no
+truncated sinc sum holds.  There the pencil is bordered with one boundary
+basis function omega(z) = 1/(1 + e^(2z)) = r'(z), the grid's ``dr``
+(Stenger, Numerical Methods Based on Sinc and Analytic Functions, 1993)
+by Rayleigh-Ritz: its entries are the integrals of v' w' + g v w and
+u v w, evaluated with the grid's own sinc quadrature, using
+omega' = -2 omega (1 - omega) and omega'' = 4 omega (1 - omega)(1 - 2 omega).
+For alpha > 1/2 the function is left out: g tends to l^2 at the left end
+and the integral of g omega^2 diverges.  The bordered pencil is not
+shifted (sigma = 0): there g/u tends to ln x + 1/2, unbounded below, and
+the border is no part of the Toeplitz block.  G and R are then
+arrowheads: diag(g) and diag(u) with the border row and column and the
+corner.  Each pair carries its border coefficient c (``EigenPair.border``),
+so a pencil solved on the right part of a window has its f continued over
+the rest by the border alone, c omega/sqrt(phi') (``coulomb`` cuts the
+l = 0 pencil so, and continues its pairs by ``_border_extended``).
 
 The paper's M sets a step far finer than the states need: the flagship
 levels converge like exp(-8.5/a) and reach roundoff by a = 0.2, while
@@ -166,17 +166,15 @@ class CollocationProblem:
     the module docstring.
 
     ``potential`` is the full multiplicative term of the reduced radial
-    equation, e.g. (4*l^2 - 1)/(4*x^2) + V(x).  ``g`` and ``weight``
-    (u = psi'^2) are sampled at the sinc points; ``omega`` holds the
-    boundary function at the sinc points when the pencil is bordered with
-    it, and is None otherwise.
+    equation, e.g. (4*l^2 - 1)/(4*x^2) + V(x), and ``g`` is sampled from it
+    at the sinc points.  The map's data belong to the grid: u = psi'^2 is
+    ``grid.weight``, and on a ``grid.bordered`` grid the boundary function
+    omega is ``grid.dr``.
     """
 
     grid: SincGrid
     potential: Callable[[np.ndarray], np.ndarray]
     g: np.ndarray
-    weight: np.ndarray
-    omega: np.ndarray | None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -212,7 +210,7 @@ class EigenPair:
 
 def assemble(grid: SincGrid, potential: Callable[[np.ndarray], np.ndarray]) -> CollocationProblem:
     """Sample the symmetric pencil of ``potential`` on ``grid``: g = u q plus
-    the grid's Liouville term, and at alpha = 1/2 the border omega = r'.
+    the grid's Liouville term.
 
     The potential must be finite at every sinc point.
     """
@@ -221,8 +219,7 @@ def assemble(grid: SincGrid, potential: Callable[[np.ndarray], np.ndarray]) -> C
         bad = grid.points[~np.isfinite(pot_vals)][0]
         raise ValueError(f"potential is not finite at sinc point x={bad!r}")
     return CollocationProblem(grid=grid, potential=potential,
-                              g=grid.weight * pot_vals + grid.liouville, weight=grid.weight,
-                              omega=grid.dr if grid.alpha == 0.5 else None)
+                              g=grid.weight * pot_vals + grid.liouville)
 
 
 def _physical_memory_bytes() -> int:
@@ -301,10 +298,10 @@ class _Pencil:
         unbordered and by 0 when bordered: a lower bound on the lowest level
         (module docstring).  The one place the shift and the border are
         formed."""
-        a = problem.grid.a
-        u, w, g = problem.weight, problem.omega, problem.g
-        column = -_d2_column(problem.grid.size) / a**2
-        if w is None:
+        grid, g = problem.grid, problem.g
+        a, u, w = grid.a, grid.weight, grid.dr
+        column = -_d2_column(grid.size) / a**2
+        if not grid.bordered:
             return cls(column, a, max(0.0, float(np.min(g / u))), _Arrowhead(g), _Arrowhead(u))
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
@@ -420,14 +417,16 @@ class _Pencil:
 def _level_estimate(q: np.ndarray, weights: np.ndarray, n: int, steps: int = 30) -> float:
     """lambda_n where the Bohr-Sommerfeld phase sum weights sqrt(max(lambda - q, 0))
     reaches pi (n + 1/2): bracketed from min q by widths that double, then
-    ``steps`` bisections; the bracket's upper end."""
+    ``steps`` bisections; the bracket's upper end, or inf where it cannot grow."""
     def phase(lam):
         return np.sqrt(np.maximum(lam - q, 0.0)) @ weights
 
     lo = float(q.min())
-    hi = lo + 1.0
+    hi, width = lo + 1.0, 0.0
     while phase(hi) < math.pi * (n + 0.5):
-        lo, hi = hi, 3.0 * hi - 2.0 * lo
+        if not hi - lo > width:  # |min q| so large that lo + 1 rounds to lo
+            return math.inf
+        lo, hi, width = hi, 3.0 * hi - 2.0 * lo, hi - lo
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if phase(mid) < math.pi * (n + 0.5) else (lo, mid)
@@ -454,11 +453,13 @@ def _holds(problem: CollocationProblem, count: int) -> bool:
     states, by WKB on the pencil's own g, u and step a: lambda = lambda_(count-1)
     of a sum sqrt(max(lambda u - g, 0)) = pi (count - 1/2), and a window of
     _DECAYED's 12 decades of decay about it strictly inside the grid.  Eight
-    bisections: the upper end of the bracket errs towards "not held"."""
-    q, weights = problem.g / problem.weight, problem.grid.a * np.sqrt(problem.weight)
+    bisections: the upper end of the bracket errs towards "not held", and an
+    infinite estimate, whose window is the whole grid, reads so."""
+    grid = problem.grid
+    q, weights = problem.g / grid.weight, grid.a * np.sqrt(grid.weight)
     lo, hi, _ = _window_ends(q, weights, _level_estimate(q, weights, count - 1, steps=8),
                              -math.log(_DECAYED))
-    return 0 < lo and hi < problem.grid.size - 1
+    return 0 < lo and hi < grid.size - 1
 
 
 def _de_lift(V: np.ndarray, coarse: SincGrid, grid: SincGrid) -> np.ndarray:
@@ -498,7 +499,7 @@ def _two_grid(problem: CollocationProblem, pencil: _Pencil,
     truncates a state (a vector above _DECAYED of its peak at an end node);
     and where the Ritz pairs miss the residual contract or have a residual
     above _RITZ_RESIDUAL.  The memory refusal of ``dense_left`` is raised."""
-    grid, bordered = problem.grid, problem.omega is not None
+    grid, bordered = problem.grid, problem.grid.bordered
     stride = max(1, int(_COARSE_STEP / grid.a))
     if grid.a > _COARSE_STEP or (bordered and stride == 1):
         return None
@@ -555,9 +556,9 @@ def solve(problem: CollocationProblem, count: int, *, vectors: bool = True) -> l
     V = decomp.eigenvectors
     nodal = V[:K]
     border = np.zeros(count)
-    if problem.omega is not None:
+    if grid.bordered:
         border = V[K]
-        nodal = nodal + problem.omega[:, None] * border[None, :]
+        nodal = nodal + grid.dr[:, None] * border[None, :]
     f = nodal / np.sqrt(grid.phi1)[:, None]
     # the largest-magnitude entry of each vector made positive
     sign = np.where(f[np.argmax(np.abs(f), axis=0), np.arange(count)] < 0.0, -1.0, 1.0)

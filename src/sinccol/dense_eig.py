@@ -126,8 +126,10 @@ def lowest(left: np.ndarray, count: int, right_times: Callable[[np.ndarray], np.
     right matrix costs no accuracy in the low end.  Lanczos (ARPACK
     ``eigsh``, start vector all ones, so repeated solves are bit-identical)
     applies it by two triangular solves with L (dtrsv), and v = L^-T y.  For
-    ``count >= n - 1``, beyond ARPACK's reach, the operator's matrix is
-    formed from the n unit vectors and diagonalized (``scipy.linalg.eigh``).
+    ``count >= n - 1`` the operator's matrix is formed from the n unit vectors
+    and diagonalized (``scipy.linalg.eigh``): ``eigsh`` takes count < n only,
+    and at n - 1 applies the operator n + 1 times, a Krylov space of all R^n,
+    at 1.4 to 1.9 times the cost for n = 201 and 421 (2 cores, OpenBLAS).
 
     With ``vectors=False`` only the levels are wanted: Lanczos stops once
     each Ritz residual is _LEVELS_TOL of its mu, and seeks one level in a

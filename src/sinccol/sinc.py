@@ -56,9 +56,8 @@ class SincGrid:
     """Mapped sinc discretization of (0, inf).
 
     Attributes:
-        alpha: algebraic growth exponent bounding the target class near 0.
-        beta: exponential decay exponent bounding the class at infinity.
-        d: half-width of the analyticity strip, 0 < d <= pi/2.
+        alpha: algebraic growth exponent bounding the target class near 0;
+            alpha = 1/2 marks a ``bordered`` grid.
         M: lower summation limit (indices start at -M).
         N: upper summation limit, N = ceil((alpha/beta) * M) on build_grid's grid.
         a: step size, a = sqrt(2*pi*d / (alpha*M)) on build_grid's grid; a
@@ -73,8 +72,6 @@ class SincGrid:
     """
 
     alpha: float
-    beta: float
-    d: float
     M: int
     N: int
     a: float
@@ -88,6 +85,12 @@ class SincGrid:
     def size(self) -> int:
         """Number of sinc points, K = M + N + 1."""
         return self.M + self.N + 1
+
+    @property
+    def bordered(self) -> bool:
+        """Whether a pencil on this grid carries the boundary function omega =
+        ``dr``: at alpha = 1/2 (critical coupling, f ~ x^(1/2))."""
+        return self.alpha == 0.5
 
     @property
     def indices(self) -> np.ndarray:
@@ -292,15 +295,14 @@ def build_grid(alpha: float, beta: float, d: float, M: int) -> SincGrid:
     if points[0] <= 0.0 or np.any(np.diff(points) <= 0.0):
         raise ValueError("sinc points must be strictly increasing and positive")
 
-    return SincGrid(alpha=float(alpha), beta=float(beta), d=float(d), M=int(M), N=int(N),
-                    a=a, points=points, phi1=phi1, weight=weight, dr=omega,
-                    liouville=omega * (1.0 + 3.0 * weight) / 4.0)
+    return SincGrid(alpha=float(alpha), M=int(M), N=int(N), a=a, points=points, phi1=phi1,
+                    weight=weight, dr=omega, liouville=omega * (1.0 + 3.0 * weight) / 4.0)
 
 
 def _de_grid(like: SincGrid, h: float) -> SincGrid:
     """The sinc grid of step h on the DE map, over the nodes t = m h inside
-    the x-range of ``like``, with its alpha, beta and d.  A ValueError where
-    that range holds no node or its first node underflows to x = 0."""
+    the x-range of ``like``, with its alpha.  A ValueError where that range
+    holds no node or its first node underflows to x = 0."""
     lo, hi = _de_inverse(like.points[[0, -1]]) / h
     m = np.arange(math.ceil(lo), math.floor(hi) + 1)
     t = m * h
@@ -308,8 +310,8 @@ def _de_grid(like: SincGrid, h: float) -> SincGrid:
     if not (m.size and points[0] > 0.0):
         raise ValueError(f"the grid of step {h} over x = {like.points[0]}..{like.points[-1]} has "
                          "no node above x = 0")
-    return SincGrid(alpha=like.alpha, beta=like.beta, d=like.d, M=-int(m[0]), N=int(m[-1]), a=h,
-                    points=points, phi1=1.0 / dpsi, weight=np.square(dpsi), dr=dr,
+    return SincGrid(alpha=like.alpha, M=-int(m[0]), N=int(m[-1]), a=h, points=points,
+                    phi1=1.0 / dpsi, weight=np.square(dpsi), dr=dr,
                     liouville=np.square(dr) / 4.0 - ddr / 2.0)
 
 
@@ -435,8 +437,9 @@ def _expanded_cauchy(c: np.ndarray, position: np.ndarray, r: np.ndarray) -> np.n
     padded[..., 2 * _NEAR:2 * _NEAR + size] = c
     total = np.zeros(stack + r.shape)
     buffer = np.empty(stack + r.shape)
+    # every position is in range, so mode="clip" only spares take its buffered copy
     for j in range(-_NEAR, _NEAR + 1):  # j = k - m
-        term = _gather(padded[..., _NEAR - j:], position, buffer)
+        term = np.take(padded[..., _NEAR - j:], position, axis=-1, out=buffer, mode="clip")
         term /= r + j
         total += term
     length = _circulant_length(size)
@@ -448,20 +451,11 @@ def _expanded_cauchy(c: np.ndarray, position: np.ndarray, r: np.ndarray) -> np.n
     fields = np.fft.irfft(spectra * np.fft.rfft(shifted), length)
     # Horner in -r, gathering one term at a time
     minus_r = -r
-    far = _gather(fields[_TERMS - 1], position, np.empty(buffer.shape))
+    far = np.take(fields[_TERMS - 1], position, axis=-1, out=np.empty(buffer.shape), mode="clip")
     for p in range(_TERMS - 2, -1, -1):
         far *= minus_r
-        far += _gather(fields[p], position, buffer)
+        far += np.take(fields[p], position, axis=-1, out=buffer, mode="clip")
     return total + far
-
-
-def _gather(a: np.ndarray, position: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a[..., position]: a new array for a vector, ``out`` for a stack, which
-    numpy gathers fastest by indexing and by ``np.take`` respectively.  Every
-    position is in range, so mode="clip" only spares take its buffered copy."""
-    if a.ndim == 1:
-        return a[position]
-    return np.take(a, position, axis=-1, out=out, mode="clip")
 
 
 def _circulant_length(size: int) -> int:

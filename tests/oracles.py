@@ -137,13 +137,14 @@ def literal_collocation_matrix(potential, alpha, beta, d, M):
     return A
 
 
-def dense_right(weight, omega):
-    """The pencil's n x n right matrix, written out from u = ``weight`` and
-    the boundary function ``omega``: diag(u) when ``omega`` is None, and
-    otherwise diag(u) bordered by the row and column u omega with
-    sum(u omega^2) at (K, K)."""
+def dense_right(grid):
+    """The pencil's n x n right matrix on ``grid``, written out from
+    u = ``grid.weight`` and the boundary function omega = ``grid.dr``:
+    diag(u) when the grid is not bordered, and otherwise diag(u) bordered by
+    the row and column u omega with sum(u omega^2) at (K, K)."""
+    weight, omega = grid.weight, grid.dr
     K = weight.size
-    if omega is None:
+    if not grid.bordered:
         return np.diag(weight)
     right = np.zeros((K + 1, K + 1))
     right[np.arange(K), np.arange(K)] = weight

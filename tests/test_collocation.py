@@ -1,9 +1,11 @@
 """Tests for assembly and solution of the collocation eigenproblem."""
 
+import contextlib
 import dataclasses
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -31,9 +33,9 @@ def synthetic_grid(a, M, N):
     ma = m * a
     e2m = np.exp(-2.0 * ma)
     weight, omega = 1.0 / (1.0 + e2m), e2m / (1.0 + e2m)
-    return SincGrid(alpha=1.0, beta=1.0, d=D4, M=M, N=N, a=a,
-                    points=np.arcsinh(np.exp(ma)), phi1=np.sqrt(1.0 + e2m), weight=weight,
-                    dr=omega, liouville=omega * (1.0 + 3.0 * weight) / 4.0)
+    return SincGrid(alpha=1.0, M=M, N=N, a=a, points=np.arcsinh(np.exp(ma)),
+                    phi1=np.sqrt(1.0 + e2m), weight=weight, dr=omega,
+                    liouville=omega * (1.0 + 3.0 * weight) / 4.0)
 
 
 def de_size(grid):
@@ -103,8 +105,8 @@ class TestAssemble:
 
 
 class TestMapData:
-    """``assemble`` reads u, the Liouville term and the border from the grid,
-    which holds them for its own map."""
+    """The grid holds u, the Liouville term and the border for its own map,
+    and ``assemble`` forms g from them."""
 
     @pytest.mark.parametrize("l", range(5))
     def test_paper_map_gives_the_closed_forms(self, l):
@@ -121,12 +123,9 @@ class TestMapData:
                           (grid.nested(3), m % 3 == 0)):
             u, omega = 1.0 / (1.0 + e2m[kept]), e2m[kept] / (1.0 + e2m[kept])
             problem = assemble(sub, q)
-            assert np.array_equal(problem.weight, u)
+            assert np.array_equal(sub.weight, u) and np.array_equal(sub.dr, omega)
             assert np.array_equal(problem.g, u * q(sub.points) + omega * (1.0 + 3.0 * u) / 4.0)
-            if l == 0:
-                assert np.array_equal(problem.omega, omega)
-            else:
-                assert problem.omega is None
+            assert sub.bordered == (l == 0)
 
     def test_de_grid_gives_the_de_map_data(self):
         from sinccol.collocation import _DE_STEP
@@ -145,7 +144,7 @@ class TestMapData:
         q = lambda x: 15.0 / (4.0 * x**2) + np.log(x)
         problem = assemble(grid, q)
         assert np.array_equal(problem.g, grid.weight * q(grid.points) + grid.liouville)
-        assert problem.omega is None
+        assert not grid.bordered
 
 
 @pytest.fixture(scope="module")
@@ -426,7 +425,7 @@ class TestPencilLeft:
             want[K, K] = G.corner
         diag = np.arange(K)
         want[diag, diag] += G.d
-        want[diag, diag] -= pencil.sigma * problem.weight
+        want[diag, diag] -= pencil.sigma * problem.grid.weight
         got = pencil.dense_left()
         assert got.flags.f_contiguous
         assert got.shape == (K + (l == 0),) * 2
@@ -445,7 +444,7 @@ class TestPencilRight:
 
         problem = flagship_problem(l, M=M)
         right = _Pencil.of(problem).R
-        dense = dense_right(problem.weight, problem.omega)
+        dense = dense_right(problem.grid)
         n = dense.shape[0]
         assert n == problem.grid.size + (l == 0)
         V = np.random.default_rng(l * 1000 + M).standard_normal((n, 5))
@@ -483,7 +482,7 @@ class TestPencilShift:
         pencil = _Pencil.of(problem)
         sigma = pencil.sigma
         assert sigma > 0.0
-        assert np.all(problem.g - sigma * problem.weight >= 0.0)
+        assert np.all(problem.g - sigma * problem.grid.weight >= 0.0)
         assert sigma <= unshifted(pencil).eigh(1).eigenvalues[0]
 
     @pytest.mark.parametrize("l", [1, 4])
@@ -496,7 +495,7 @@ class TestPencilShift:
         left = pencil.dense_left()
         plain = unshifted(pencil).dense_left()
         diag = np.arange(problem.grid.size)
-        plain[diag, diag] -= sigma * problem.weight
+        plain[diag, diag] -= sigma * problem.grid.weight
         assert np.array_equal(left, plain)
         want = sigma + pencil.eigh(5).eigenvalues
         assert np.array_equal([p.eigenvalue for p in solve(problem, 5)], want)
@@ -509,8 +508,8 @@ class TestPencilShift:
         # (the odd oscillator levels 3, 7, 11, raised by 5) has min g/u > 5
         assert _Pencil.of(flagship_problem(0, M=100)).sigma == 0.0
         problem = assemble(build_grid(0.5, 1.0, D4, 100), lambda x: x**2 + 5.0)
-        assert problem.omega is not None
-        assert np.min(problem.g / problem.weight) > 5.0
+        assert problem.grid.bordered
+        assert np.min(problem.g / problem.grid.weight) > 5.0
         assert _Pencil.of(problem).sigma == 0.0
         got = [p.eigenvalue for p in solve(problem, 3)]
         assert np.allclose(got, [8.0, 12.0, 16.0], atol=1e-8)
@@ -532,6 +531,40 @@ class TestPencilShift:
         unshifted(_Pencil.of(problem)).eigh(5)
         # 47 against 87 operator applications when written
         assert shifted <= 60 < len(steps)
+
+
+def hydrogen_2d(l, C):
+    """The 2-D hydrogen atom's radial term (l^2 - 1/4)/x^2 - 2/x + C, and its
+    levels E_n = C - 1/(n + l + 1/2)^2 in closed form."""
+    return (lambda x: (l * l - 0.25) / x**2 - 2.0 / x + C,
+            lambda count: C - 1.0 / np.square(np.arange(count) + l + 0.5))
+
+
+class TestHydrogen2D:
+    """The 2-D hydrogen atom on build_grid(l + 1/2, 0.2, pi/4, M): at l = 0 the
+    same critical coupling as the flagship (f ~ x^(1/2), a bordered pencil),
+    and a closed-form spectrum at every l.  C = 5 keeps every level positive."""
+
+    @pytest.mark.parametrize("l, M, count", [(0, 400, 5), (1, 200, 5), (2, 150, 3),
+                                             (3, 150, 3), (4, 150, 3)])
+    def test_levels_match_the_closed_form(self, l, M, count):
+        # l = 0: a direct bordered solve at K = 1401; l = 2: the DE two-grid
+        # path.  Worst 4.2e-14 when written; l = 4 at count 5 misses by 1.6e-12
+        q, levels = hydrogen_2d(l, 5.0)
+        grid = build_grid(l + 0.5, 0.2, D4, M)
+        assert grid.bordered == (l == 0)
+        got = np.array([p.eigenvalue for p in solve(assemble(grid, q), count)])
+        assert np.max(np.abs(got - levels(count))) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=EigenSolveError,
+                       reason="the shift of _Pencil.of is clamped at 0 (and is 0 when bordered), "
+                              "so levels below 0 leave the left matrix indefinite")
+    @pytest.mark.parametrize("l, M", [(0, 400), (1, 200)])
+    def test_levels_below_zero_match_the_closed_form(self, l, M):
+        q, levels = hydrogen_2d(l, 0.0)
+        grid = build_grid(l + 0.5, 0.2, D4, M)
+        got = np.array([p.eigenvalue for p in solve(assemble(grid, q), 5)])
+        assert np.max(np.abs(got - levels(5))) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -614,7 +647,7 @@ class TestTwoGrid:
                             or real_solve(problem, count, **kw))
         got = solve_states(0, 5, M=1500)
         grid = got[0].grid
-        assert grid.alpha == 0.5 and grid.size == want[0].grid.size
+        assert grid.bordered and grid.size == want[0].grid.size
         assert built == [solved[0].nested(2).size]
         # 3.2e-14 in the levels and 1.2e-13 of the peak when written
         for g, w in zip(got, want):
@@ -880,6 +913,21 @@ class TestDEBasis:
         assert peak < 8 * grid.size * K_de
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """A TimeoutError in the block after ``seconds``, by SIGALRM."""
+    def expired(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def solved_problems(monkeypatch):
     """The problems ``coulomb`` hands to ``solve``, in order, as it solves them."""
     import sinccol.coulomb as coulomb
@@ -925,7 +973,7 @@ class TestHoldTest:
         # no level below the Ritz one was skipped: one level below the midpoint
         # to the next, by the inertia of left - tau R
         tau = 0.5 * (got.eigenvalue + direct[1].eigenvalue)
-        assert levels_below(problem.g, problem.weight, problem.grid.a, tau) == 1
+        assert levels_below(problem.g, problem.grid.weight, problem.grid.a, tau) == 1
 
     @pytest.mark.parametrize("l, count, M", [(2, 5, 200), (3, 5, 150), (3, 5, 200), (4, 5, 150)])
     def test_states_the_grid_end_cuts_build_one_pencil(self, l, count, M, monkeypatch):
@@ -946,7 +994,8 @@ class TestHoldTest:
         def decay_sums(problem, count):
             # the hold test as first written: the decay from the outermost
             # turning points summed to each end of the grid, without a window
-            q, weights = problem.g / problem.weight, problem.grid.a * np.sqrt(problem.weight)
+            grid = problem.grid
+            q, weights = problem.g / grid.weight, grid.a * np.sqrt(grid.weight)
             lam = collocation._level_estimate(q, weights, count - 1, steps=8)
             kappa = np.sqrt(np.maximum(q - lam, 0.0)) * weights
             allowed = (q <= lam).nonzero()[0]
@@ -1038,6 +1087,24 @@ class TestHoldTest:
         built = TestTwoGrid.counted_pencils(monkeypatch)
         assert collocation._two_grid(problem, collocation._Pencil.of(problem), 20) is None
         assert built == [de.size]
+
+    def test_a_level_estimate_beyond_float_spacing_is_infinite(self):
+        from sinccol.collocation import _holds, _level_estimate
+
+        # min q = -2^60: lo + 1 rounds to lo, and the bracket used to stay put
+        with deadline(10):
+            assert _level_estimate(np.array([-2.0**60, 0.0, 1.0]), np.ones(3), 0) == math.inf
+            grid = build_grid(1.5, 1.0, D4, 40)
+            assert not _holds(assemble(grid, lambda x: 0.0 * x - 2.0**60), 1)
+
+    @pytest.mark.parametrize("c", [-1e10, -1e17, -1e20, -2.0**60])
+    def test_a_potential_too_deep_to_bracket_is_refused(self, c):
+        # a = 0.128 on the DE path; below c = -1e16 the hold test's level
+        # estimate cannot grow its bracket, which used to raise an IndexError
+        # (c = -1e17, -1e20) or never return (c = -2^60)
+        grid = build_grid(1.5, 1.0, D4, 200)
+        with deadline(10), pytest.raises(EigenSolveError, match="not positive definite"):
+            solve(assemble(grid, lambda x: 2.0 / x**2 + c), 3)
 
     def test_the_oscillator_takes_the_de_path_where_its_grid_holds_the_states(self,
                                                                                monkeypatch):

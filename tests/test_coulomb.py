@@ -307,6 +307,32 @@ class TestWindow:
         got = np.array([s.eigenvalue for s in states])
         assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 
+    def test_a_top_level_past_its_estimate_is_solved_again_on_the_hull(self, monkeypatch):
+        import sinccol.coulomb as coulomb
+        from sinccol import solve
+        from sinccol.collocation import _window_ends
+
+        # the one natural second pass over l = 0..4, M = 25..1000 and counts
+        # 1, 5, 10, 20 when written: the 20th level's window at M = 100 reaches
+        # one node left of the estimate's
+        solves = []
+        real_solve = coulomb.solve
+        monkeypatch.setattr(coulomb, "solve", lambda problem, count, **kw: solves.append(
+            (problem.grid, real_solve(problem, count, **kw))) or solves[-1][1])
+        pairs = coulomb._windowed_pairs(4, 20, 1.0, D4, 100, vectors=False)[1]
+        assert len(solves) == 2
+        grid = flagship_problem(4, M=100).grid
+        langer = np.square(4 / grid.points) + np.log(grid.points)
+        held = _window_ends(langer, grid.a / grid.phi1, solves[0][1][-1].eigenvalue,
+                            coulomb._WINDOW_DECAY)
+        first, second = (solved.indices[[0, -1]] + grid.M for solved, _ in solves)
+        assert held[0] < first[0]
+        assert list(second) == [min(first[0], held[0]), max(first[1], held[1])]
+        monkeypatch.undo()
+        want = np.array([p.eigenvalue for p in solve(flagship_problem(4, M=100), 20)])
+        got = np.array([p.eigenvalue for p in pairs])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
     def test_the_level_estimate_keeps_the_window_ends_of_a_unit_walk(self):
         import sinccol.coulomb as coulomb
         from sinccol.collocation import _window_ends
@@ -397,7 +423,7 @@ class TestBorderCut:
 
     def test_nodes_left_of_the_cut_hold_the_border(self, monkeypatch):
         import sinccol.coulomb as coulomb
-        from sinccol import assemble, solve
+        from sinccol import solve
 
         solved = []
         real_solve = coulomb.solve
@@ -406,11 +432,10 @@ class TestBorderCut:
         states = coulomb._windowed_pairs(0, 5, 1.0, D4, 500)[1]
         grid = flagship_problem(0, M=500).grid
         cut = grid.size - solved[0][0].coefficients.size
-        omega = assemble(grid, log_coulomb_potential(0)).omega
         for state, pair in zip(states, solved[0]):
             assert np.array_equal(state.coefficients[cut:], pair.coefficients)
             assert np.array_equal(state.coefficients[:cut],
-                                  pair.border * omega[:cut] / np.sqrt(grid.phi1[:cut]))
+                                  pair.border * grid.dr[:cut] / np.sqrt(grid.phi1[:cut]))
         assert all(p.border == 0.0 for p in solve(flagship_problem(1, M=50), 2))
 
     @pytest.mark.parametrize("M, count", [(200, 5), (500, 20), (60, 1)])

@@ -232,7 +232,7 @@ class TestPencil:
         problem = flagship_problem(l, M=100)
         pencil = shifted_pencil(problem)
         left = pencil.dense_left()
-        dense = dense_right(problem.weight, problem.omega)
+        dense = dense_right(problem.grid)
         K, n = problem.grid.size, left.shape[0]
         # l = 0 is bordered: right is diag(u) plus one border row and column
         arrowhead = np.eye(n, dtype=bool)
@@ -357,7 +357,7 @@ class TestPencil:
         problem = flagship_problem(l, M=M)
         left = shifted_pencil(problem).dense_left()
         n = left.shape[0]
-        mu = scipy.linalg.eigh(dense_right(problem.weight, problem.omega), left,
+        mu = scipy.linalg.eigh(dense_right(problem.grid), left,
                                eigvals_only=True)
         reference = np.sort(1.0 / mu[mu > 0.0])
         monkeypatch.setattr(dense_eig, "eigsh", no_lanczos)
@@ -471,7 +471,7 @@ class TestRitz:
 
         problem = flagship_problem(l, M=M)
         pencil = _Pencil.of(problem)
-        return pencil, pencil.dense_left(), dense_right(problem.weight, problem.omega)
+        return pencil, pencil.dense_left(), dense_right(problem.grid)
 
     @pytest.mark.parametrize("l, M", GRIDS)
     def test_exact_basis_gives_the_lowest_pairs(self, l, M):
