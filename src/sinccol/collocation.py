@@ -33,8 +33,8 @@ where the grid, not the problem, holds u and r'^2/4 - r''/2 at its nodes
 whose entries stay near 1/a^2.  ``solve`` takes its lowest pairs and
 returns the nodal values f(x_m) = v_m / sqrt(phi'(x_m)).  ``_Pencil``
 is that pencil as it is solved, shifted by sigma = max(0, min g/u): left
-T + G - sigma diag(u), with T = -d2/a^2 and G = diag(g), and right
-R = diag(u); ``solve`` adds sigma back to each level.  That left
+T + rest, with T = -d2/a^2 and rest = diag(g - sigma u) formed once, and
+right R = diag(u); ``solve`` adds sigma back to each level.  That left
 matrix is positive definite: the sinc matrix -d2 has its eigenvalues in
 (0, pi^2] (Stenger, 1993) and g - sigma u >= 0.  So sigma lies below the
 lowest level, and Lanczos searches 1/(lambda - sigma), whose low end is
@@ -56,7 +56,7 @@ omega' = -2 omega (1 - omega) and omega'' = 4 omega (1 - omega)(1 - 2 omega).
 For alpha > 1/2 the function is left out: g tends to l^2 at the left end
 and the integral of g omega^2 diverges.  The bordered pencil is not
 shifted (sigma = 0): there g/u tends to ln x + 1/2, unbounded below, and
-the border is no part of the Toeplitz block.  G and R are then
+the border is no part of the Toeplitz block.  rest and R are then
 arrowheads: diag(g) and diag(u) with the border row and column and the
 corner.  Each pair carries its border coefficient c (``EigenPair.border``),
 so a pencil solved on the right part of a window has its f continued over
@@ -96,7 +96,7 @@ would need a tail beyond it.  Every nested node is a node of the given grid:
 fine node j sits at coarse index (j - first)/stride, where the same
 series is summed (``_lift``), and the border coefficient is the same on
 both grids.  Products, norms and the projection come from the pencil's
-pieces, T by the FFT and G and R in O(K).  Besides a coarse grid that
+pieces, T by the FFT and rest and R in O(K).  Besides a coarse grid that
 cannot be formed or holds too few nodes, ``_two_grid`` has three exits to
 the direct solve: a DE grid that does not hold the WKB window of the
 highest state, _DECAYED's 12 decades of decay past its turning points,
@@ -277,19 +277,20 @@ class _Arrowhead:
 class _Pencil:
     """The pencil of a problem as it is solved (module docstring):
 
-        left = T + G - sigma diag(u),    right = R,
+        left = T + rest,    right = R,
 
-    T the Toeplitz block T[i, j] = column[|i - j|] = -d2/a^2, G the
-    arrowhead of g (border g omega - omega'', corner sum omega'^2 + g omega^2)
-    and R that of u (border u omega, corner sum u omega^2).  ``dense_left``
-    is the one dense build; products, norms and the Rayleigh-Ritz
-    projection come from the pieces, in O(K log K) per column and O(K).
+    T the Toeplitz block T[i, j] = column[|i - j|] = -d2/a^2, ``rest`` the
+    arrowhead of left - T, diag(g - sigma u) or, bordered, that of g (border
+    g omega - omega'', corner sum omega'^2 + g omega^2), and R that of u
+    (border u omega, corner sum u omega^2).  ``dense_left`` is the one dense
+    build; products, norms and the Rayleigh-Ritz projection come from the
+    pieces, in O(K log K) per column and O(K).
     """
 
     column: np.ndarray
     a: float
     sigma: float
-    G: _Arrowhead
+    rest: _Arrowhead
     R: _Arrowhead
 
     @classmethod
@@ -297,12 +298,13 @@ class _Pencil:
         """The pencil of ``problem``, shifted by sigma = max(0, min g/u) when
         unbordered and by 0 when bordered: a lower bound on the lowest level
         (module docstring).  The one place the shift and the border are
-        formed."""
+        formed, and the shift applied."""
         grid, g = problem.grid, problem.g
         a, u, w = grid.a, grid.weight, grid.dr
         column = -_d2_column(grid.size) / a**2
         if not grid.bordered:
-            return cls(column, a, max(0.0, float(np.min(g / u))), _Arrowhead(g), _Arrowhead(u))
+            sigma = max(0.0, float(np.min(g / u)))
+            return cls(column, a, sigma, _Arrowhead(g - sigma * u), _Arrowhead(u))
         dw = -2.0 * w * u  # omega' = -2 omega (1 - omega), and 1 - omega = u
         ddw = 4.0 * w * u * (u - w)
         return cls(column, a, 0.0, _Arrowhead(g, g * w - ddw, float(np.sum(dw * dw + g * w * w))),
@@ -314,8 +316,8 @@ class _Pencil:
         The only dense build of a pencil, so its memory check guards
         whichever one is factored: a left larger than the machine's physical
         memory is a ValueError, raised before anything is allocated."""
-        K, G = self.column.size, self.G
-        n = K if G.border is None else K + 1
+        K, rest = self.column.size, self.rest
+        n = K if rest.border is None else K + 1
         need, have = 8 * n * n, _physical_memory_bytes()
         if need > have:
             raise ValueError(f"the dense pencil at K = {K} needs {need / 1e9:.3g} GB, but this "
@@ -324,33 +326,27 @@ class _Pencil:
         # window i of [column[K-1..1], column] read backwards is row i of T
         symmetric = np.concatenate((self.column[:0:-1], self.column))
         left[:K, :K] = sliding_window_view(symmetric, K)[:, ::-1]
-        if G.border is not None:
-            left[K, :K] = left[:K, K] = G.border
-            left[K, K] = G.corner
+        if rest.border is not None:
+            left[K, :K] = left[:K, K] = rest.border
+            left[K, K] = rest.corner
         diag = np.arange(K)
-        # g, then the shift: T + (g - sigma u) would round the diagonal differently
-        left[diag, diag] += G.d
-        left[diag, diag] -= self.sigma * self.R.d
+        left[diag, diag] += rest.d
         return left
-
-    def _left_rest(self) -> _Arrowhead:
-        """left - T = G - sigma diag(u)."""
-        return _Arrowhead(self.G.d - self.sigma * self.R.d, self.G.border, self.G.corner)
 
     def left_times(self, V: np.ndarray) -> np.ndarray:
         """left @ V for an n x k array V: T by the FFT (``_toeplitz_times``),
         the rest as an arrowhead."""
-        out = self._left_rest() @ V
+        out = self.rest @ V
         out[:self.column.size] += _toeplitz_times(self.column, V[:self.column.size])
         return out
 
     def left_norm(self) -> float:
         """||left||_inf, exactly: with C = cumsum |column|, row i of
-        T + diag(g - sigma u) sums to |column[0] + g_i - sigma u_i|
+        T + diag(rest.d) sums to |column[0] + rest.d[i]|
         + (C[i] - C[0]) + (C[K - 1 - i] - C[0])."""
         C = np.cumsum(np.abs(self.column))
-        return self.G.norm_inf(np.abs(self.column[0] + self.G.d - self.sigma * self.R.d)
-                               + (C - C[0]) + (C[::-1] - C[0]))
+        return self.rest.norm_inf(np.abs(self.column[0] + self.rest.d) + (C - C[0])
+                                  + (C[::-1] - C[0]))
 
     def left_form(self, X: np.ndarray) -> np.ndarray:
         """X^T left X for an n x k array X whose Toeplitz rows are smooth, to
@@ -373,7 +369,7 @@ class _Pencil:
         weights[[0, -1]] = 1.0  # ... but 0 and pi
         symbol = weights * np.square(theta) / (L * self.a**2)
         out = (spectra.conj().T @ (symbol[:, None] * spectra)).real
-        return out + X.T @ (self._left_rest() @ X)
+        return out + X.T @ (self.rest @ X)
 
     def eigh(self, count: int, *, vectors: bool = True) -> EigenDecomposition:
         """The lowest ``count`` pairs, ascending: ``lowest`` on the dense left

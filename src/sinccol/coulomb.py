@@ -35,7 +35,7 @@ import numpy as np
 from .collocation import (_COARSE_STEP, CollocationProblem, EigenPair, _level_estimate,
                           _window_ends, assemble, solve)
 from .dense_eig import EigenSolveError, InfiniteLevelError, _validate_count
-from .sinc import SincGrid, build_grid, interpolate
+from .sinc import SincGrid, _is_integer, build_grid, interpolate
 
 __all__ = [
     "EULER_GAMMA",
@@ -109,7 +109,7 @@ def flagship_problem(l: int, beta: float = DEFAULT_BETA, d: float = DEFAULT_D,
 
 def _flagship_grid(l: int, beta: float, d: float, M: int) -> SincGrid:
     """The paper's grid of ``flagship_problem``, with its checks of l and beta."""
-    if not isinstance(l, (int, np.integer)) or l < 0:
+    if not _is_integer(l) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
     if not 0.5 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0.5, 1.0], got {beta}")

@@ -28,6 +28,8 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+from .sinc import _is_integer
+
 __all__ = ["EigenDecomposition", "EigenSolveError", "InfiniteLevelError", "RESIDUAL_TOL", "eig",
            "lowest", "verified"]
 
@@ -81,7 +83,7 @@ def _relative_residuals(R: np.ndarray, V: np.ndarray, scale: np.ndarray | float)
 
 def _validate_count(count, limit: int) -> None:
     """``count`` must be an integer in [1, limit]; a bool is not one."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+    if not _is_integer(count):
         raise ValueError(f"count must be an integer, got {count!r}")
     if not 1 <= count <= limit:
         raise ValueError(f"count must lie in [1, {limit}], got {count}")

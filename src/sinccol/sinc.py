@@ -51,6 +51,11 @@ _NEAR = 8
 _TERMS = math.ceil(16.0 / math.log10(2 * _NEAR + 2))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SincGrid:
     """Mapped sinc discretization of (0, inf).
@@ -108,7 +113,7 @@ class SincGrid:
         multiples of ``stride``: coarse index m holds the node of index
         stride*m, whose point and map data are sliced, not recomputed,
         so every coarse node is bit-identical to a node of this grid."""
-        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        if not _is_integer(stride) or stride < 1:
             raise ValueError(f"stride must be a positive integer, got {stride!r}")
         M, N = self.M // stride, self.N // stride
         if M + N < 0:
@@ -270,7 +275,7 @@ def build_grid(alpha: float, beta: float, d: float, M: int) -> SincGrid:
         raise ValueError(f"beta must be positive, got {beta}")
     if not 0 < d <= math.pi / 2:
         raise ValueError(f"d must lie in (0, pi/2], got {d}")
-    if not isinstance(M, (int, np.integer)) or M < 1:
+    if not _is_integer(M) or M < 1:
         raise ValueError(f"M must be a positive integer, got {M!r}")
 
     a = math.sqrt(2.0 * math.pi * d / (alpha * M))
@@ -302,7 +307,13 @@ def build_grid(alpha: float, beta: float, d: float, M: int) -> SincGrid:
 def _de_grid(like: SincGrid, h: float) -> SincGrid:
     """The sinc grid of step h on the DE map, over the nodes t = m h inside
     the x-range of ``like``, with its alpha.  A ValueError where that range
-    holds no node or its first node underflows to x = 0."""
+    holds no node or its first node underflows to x = 0, and where ``like``
+    is bordered: a DE grid carries no border, for the DE map's r' is no
+    boundary function, and the border sqrt(x) e^(-x)/sqrt(psi') decays only
+    like e^(t/2) left of the window."""
+    if like.bordered:
+        raise ValueError("a bordered (alpha = 1/2) grid has no DE grid: the DE map has no "
+                         "boundary function")
     lo, hi = _de_inverse(like.points[[0, -1]]) / h
     m = np.arange(math.ceil(lo), math.floor(hi) + 1)
     t = m * h

@@ -1,6 +1,7 @@
-"""Independent test oracles: shooting integrator, characteristic polynomial,
-a literal index-by-index transcription of the collocation matrix, the
-dense right matrix of the symmetric pencil, and a level count by inertia.
+"""Independent test oracles: shooting integrator and the levels it commits
+(``python tests/oracles.py``), characteristic polynomial, a literal
+index-by-index transcription of the collocation matrix, the dense right
+matrix of the symmetric pencil, and a level count by inertia.
 
 Everything here deliberately avoids the library's own code paths (except
 for plain float helpers) so that agreement is meaningful.
@@ -8,7 +9,9 @@ for plain float helpers) so that agreement is meaningful.
 
 from __future__ import annotations
 
+import csv
 import math
+import pathlib
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +26,8 @@ SCAN = 160
 RTOL = 1e-11
 
 
-def shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x_end=14.0):
+def shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x_end=14.0, *, x0=X0, rtol=RTOL,
+                         scan=SCAN, xtol=1e-10, root_rtol=1e-14):
     """Lowest eigenvalues of -u'' + q(x) u = lam u on (0, inf) by shooting.
 
     Integrates in s = ln x with u = x^(1/2) w, where the equation reads
@@ -42,9 +46,13 @@ def shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x_end=14.0):
     n = 4: there the default x_end = 14 gives 2.5368 and 2.9187 for
     n = 3, 4, while x_end = 30 and x_end = 40 both give 2.5154477 and
     2.7676286 (agreeing to 5e-9).
+
+    The keywords override the module's settings: the start point ``x0``,
+    the integrator's ``rtol``, the ``scan`` points, and brentq's ``xtol``
+    and ``root_rtol``.
     """
-    s0 = math.log(X0)
-    w0 = X0**l
+    s0 = math.log(x0)
+    w0 = x0**l
 
     def endpoint(lam, tol):
         def rhs(s, y):
@@ -56,16 +64,58 @@ def shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x_end=14.0):
         return sol.y[0, -1]
 
     coarse = lambda lam: endpoint(lam, 1e-7)
-    fine = lambda lam: endpoint(lam, RTOL)
-    grid = np.linspace(lam_lo, lam_hi, SCAN)
+    fine = lambda lam: endpoint(lam, rtol)
+    grid = np.linspace(lam_lo, lam_hi, scan)
     vals = [coarse(g) for g in grid]
     roots = []
     for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(fine, grid[i], grid[i + 1], xtol=1e-10, rtol=1e-14))
+        # signs, not the product, which overflows for a far x_end
+        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
+            roots.append(brentq(fine, grid[i], grid[i + 1], xtol=xtol, rtol=root_rtol))
             if len(roots) >= count:
                 break
     return roots
+
+
+# The committed levels of the logarithmic Coulomb problem, ORACLE_FILE, are
+# shot from x0 = 1e-9 (the regular branch's start error is of order
+# x0^2 |ln x0|) at an integrator rtol of 1e-13 and brentq's xtol = rtol = 1e-15
+# (scipy's floor on rtol is 4 eps).  Each run is (l, first n kept, count,
+# x_end, scan, lam_lo, lam_hi); x_end lies far past the turning point
+# x = e^lambda of the highest level.  l >= 1 stops at n = 4, for nothing
+# independent of this integrator has checked it beyond.
+ORACLE_FILE = pathlib.Path(__file__).parent / "data" / "oracle_levels.csv"
+ORACLE_SETTINGS = dict(x0=1e-9, rtol=1e-13, xtol=1e-15, root_rtol=1e-15)
+ORACLE_RUNS = [(0, 0, 5, 60.0, SCAN, 0.1, 3.0)]
+ORACLE_RUNS += [(l, 0, 5, 80.0, SCAN, 0.1, 4.0) for l in range(1, 5)]
+ORACLE_RUNS += [(0, 5, 20, 200.0, 400, 0.1, 4.3)]
+
+
+def log_coulomb_levels(l, count, x_end, scan, lam_lo, lam_hi):
+    """The lowest ``count`` levels of -u'' + ((4 l^2 - 1)/(4 x^2) + ln x) u =
+    lambda u by shooting at ORACLE_SETTINGS."""
+    q = lambda x: (4 * l * l - 1) / (4.0 * x * x) + math.log(x)
+    return shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x_end=x_end, scan=scan,
+                                **ORACLE_SETTINGS)
+
+
+def read_oracle_levels():
+    """The committed levels as a dict {(l, n): lambda}."""
+    with open(ORACLE_FILE, newline="") as handle:
+        return {(int(row["l"]), int(row["n"])): float(row["lambda"])
+                for row in csv.DictReader(handle)}
+
+
+def oracle_rows():
+    """Shoot every run of ORACLE_RUNS: the rows (l, n, lambda) of ORACLE_FILE."""
+    rows = []
+    for l, first, count, x_end, scan, lam_lo, lam_hi in ORACLE_RUNS:
+        levels = log_coulomb_levels(l, count, x_end, scan, lam_lo, lam_hi)
+        if len(levels) != count:
+            raise RuntimeError(f"l = {l}: {len(levels)} of {count} levels in "
+                               f"[{lam_lo}, {lam_hi}]")
+        rows += [(l, n, levels[n]) for n in range(first, count)]
+    return rows
 
 
 def charpoly_coefficients(A):
@@ -177,3 +227,12 @@ def count_sign_changes(values, rel_threshold=1e-8):
     keep = np.abs(values) >= rel_threshold * np.max(np.abs(values))
     signs = np.sign(values[keep])
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0.0))
+
+
+if __name__ == "__main__":
+    # python tests/oracles.py rewrites ORACLE_FILE, in about a minute
+    rows = oracle_rows()
+    with open(ORACLE_FILE, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["l", "n", "lambda"])
+        writer.writerows((l, n, f"{lam:.17g}") for l, n, lam in rows)

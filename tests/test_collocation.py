@@ -357,9 +357,14 @@ class TestReconstruct:
         assert np.array_equal(got.ravel(), reconstruct(grid, pairs[0], xs))
 
 
-def unshifted(pencil):
-    """``pencil`` with sigma = 0."""
-    return dataclasses.replace(pencil, sigma=0.0)
+def unshifted(problem):
+    """The pencil of ``problem`` with sigma = 0: its rest is g, with the
+    border and corner of ``_Pencil.of``."""
+    from sinccol.collocation import _Pencil
+
+    pencil = _Pencil.of(problem)
+    return dataclasses.replace(pencil, sigma=0.0,
+                               rest=dataclasses.replace(pencil.rest, d=problem.g))
 
 
 class TestPencilLeft:
@@ -376,7 +381,7 @@ class TestPencilLeft:
         problem = flagship_problem(l, M=M)
         pencil = _Pencil.of(problem)
         # the unshifted pencil, and the shifted one that solve factors
-        for p in (unshifted(pencil), pencil):
+        for p in (unshifted(problem), pencil):
             left = p.dense_left()
             n = left.shape[0]
             # l = 0 is bordered with the boundary function
@@ -414,18 +419,17 @@ class TestPencilLeft:
 
         problem = flagship_problem(l, M=M)
         pencil = _Pencil.of(problem)
-        G, K = pencil.G, problem.grid.size
+        rest, K = pencil.rest, problem.grid.size
         # the build the in-place fill replaced: a K x K toeplitz, copied into
         # a zeroed (K + 1) x (K + 1) array when bordered
         want = toeplitz(pencil.column).T
-        if G.border is not None:
+        if rest.border is not None:
             block, want = want, np.zeros((K + 1, K + 1), order="F")
             want[:K, :K] = block
-            want[K, :K] = want[:K, K] = G.border
-            want[K, K] = G.corner
+            want[K, :K] = want[:K, K] = rest.border
+            want[K, K] = rest.corner
         diag = np.arange(K)
-        want[diag, diag] += G.d
-        want[diag, diag] -= pencil.sigma * problem.grid.weight
+        want[diag, diag] += rest.d
         got = pencil.dense_left()
         assert got.flags.f_contiguous
         assert got.shape == (K + (l == 0),) * 2
@@ -483,7 +487,7 @@ class TestPencilShift:
         sigma = pencil.sigma
         assert sigma > 0.0
         assert np.all(problem.g - sigma * problem.grid.weight >= 0.0)
-        assert sigma <= unshifted(pencil).eigh(1).eigenvalues[0]
+        assert sigma <= unshifted(problem).eigh(1).eigenvalues[0]
 
     @pytest.mark.parametrize("l", [1, 4])
     def test_solve_adds_the_shift_to_the_shifted_pencil(self, l):
@@ -493,9 +497,10 @@ class TestPencilShift:
         pencil = _Pencil.of(problem)
         sigma = pencil.sigma
         left = pencil.dense_left()
-        plain = unshifted(pencil).dense_left()
+        # the unshifted left with its diagonal T + (g - sigma u), added in one step
+        plain = unshifted(problem).dense_left()
         diag = np.arange(problem.grid.size)
-        plain[diag, diag] -= sigma * problem.grid.weight
+        plain[diag, diag] = pencil.column[0] + (problem.g - sigma * problem.grid.weight)
         assert np.array_equal(left, plain)
         want = sigma + pencil.eigh(5).eigenvalues
         assert np.array_equal([p.eigenvalue for p in solve(problem, 5)], want)
@@ -516,7 +521,6 @@ class TestPencilShift:
 
     def test_shift_cuts_the_lanczos_steps(self, monkeypatch):
         import sinccol.dense_eig as dense_eig
-        from sinccol.collocation import _Pencil
 
         steps = []
         operator = dense_eig.LinearOperator
@@ -528,7 +532,7 @@ class TestPencilShift:
         problem = flagship_problem(4, M=100)
         solve(problem, 5)
         shifted, steps[:] = len(steps), []
-        unshifted(_Pencil.of(problem)).eigh(5)
+        unshifted(problem).eigh(5)
         # 47 against 87 operator applications when written
         assert shifted <= 60 < len(steps)
 

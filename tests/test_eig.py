@@ -16,8 +16,11 @@ from oracles import charpoly_coefficients, charpoly_eval, dense_right
 
 
 def shifted_pencil(problem, sigma=0.0):
-    """The pencil of ``problem`` shifted by ``sigma``."""
-    return dataclasses.replace(_Pencil.of(problem), sigma=sigma)
+    """The pencil of ``problem`` shifted by ``sigma``: its rest is g - sigma u,
+    with the border and corner of ``_Pencil.of``."""
+    pencil = _Pencil.of(problem)
+    rest = dataclasses.replace(pencil.rest, d=problem.g - sigma * problem.grid.weight)
+    return dataclasses.replace(pencil, sigma=sigma, rest=rest)
 
 
 def sorted_eigs(w):

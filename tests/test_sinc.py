@@ -157,6 +157,17 @@ class TestDEMap:
             assert arrays.keys() == want.keys()
             assert all(np.array_equal(arrays[k], want[k]) for k in want)
 
+    def test_a_bordered_grid_has_no_de_grid(self):
+        from sinccol import assemble, log_coulomb_potential, solve
+        from sinccol.collocation import _DE_STEP
+
+        # its pencil would take the DE map's r' as the boundary function, and
+        # was refused as not positive definite where the paper grid holds
+        # the levels 0.53, 1.66 and 2.18
+        grid = build_grid(0.5, 1.0, D4, 400)
+        with pytest.raises(ValueError, match="no boundary function"):
+            solve(assemble(sinc._de_grid(grid, _DE_STEP), log_coulomb_potential(0)), 3)
+
     def test_extreme_arguments_are_finite_without_a_warning(self):
         # e^(sinh t) overflows at t = 8 and e^x at x = 1e300 if either is formed
         t = np.array([-8.0, 8.0])
@@ -179,8 +190,9 @@ class TestBuildGrid:
         assert g.a == pytest.approx(math.sqrt(math.pi**2 / 2.0 / 450.0), abs=1e-15)
 
     def test_invalid_arguments(self):
+        # M = True, a bool, would build the M = 1 grid
         for bad in (dict(alpha=0.0), dict(beta=-1.0), dict(d=0.0),
-                    dict(d=math.pi / 2 + 0.01), dict(M=0)):
+                    dict(d=math.pi / 2 + 0.01), dict(M=0), dict(M=True)):
             kwargs = dict(alpha=1.0, beta=1.0, d=D4, M=32) | bad
             with pytest.raises(ValueError):
                 build_grid(**kwargs)
