@@ -71,43 +71,38 @@ it solves a small pencil of the same potential on a coarse grid, lifts its
 vectors onto the given grid's nodes, and finishes by Rayleigh-Ritz on the
 given pencil from its O(K log K) products, so the given grid's dense
 matrix is never built.  An unbordered pencil takes that path at any step
-a <= _COARSE_STEP whose grid holds the states (``_holds``), a bordered one
-at a stride = max(1, floor(_COARSE_STEP / a)) > 1; wherever ``_two_grid``
-returns None, ``solve`` solves the given pencil directly.
+a <= _COARSE_STEP whose grid holds the states (``_holds``); a bordered one,
+and any other that ``_two_grid`` returns None for, is solved directly.
 
-An unbordered pencil takes its coarse grid from the double-exponential
-(DE) map x = psi(t) = ln(1 + e^(sinh t)) (Mori & Sugihara, J. Comput.
-Appl. Math. 127 (2001) 287; Gaudreau, Slevinsky & Safouhi, J. Math.
-Phys. 57 (2016) 043505): the nodes t = m _DE_STEP inside the given
-grid's x-range (``sinc._de_grid``).  There the states decay
-double-exponentially in t rather than like e^(-x ln x) in z, so 132 to
-154 nodes hold five flagship states at l = 1..4, whatever M, against the
-443 to 623 of a nested grid of step 0.2 at M = 500.  ``assemble`` forms
-its pencil as on any grid, shifted alike and positive definite on the
-same grounds.  The lift (``_de_lift``) sums the DE sinc series at each
-fine node's t_j by the series ``interpolate`` sums (``sinc._sinc_series``),
-in O(K) per vector and no K x K_DE matrix, and turns v into f and f into
-the given grid's v by sqrt(psi'(t_j) phi'(x_j)).
+The coarse grid is that of the double-exponential (DE) map x = psi(t) =
+ln(1 + e^(sinh t)) (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001) 287;
+Gaudreau, Slevinsky & Safouhi, J. Math. Phys. 57 (2016) 043505): the nodes
+t = m _DE_STEP inside the given grid's x-range (``sinc._de_grid``).  There
+the states decay double-exponentially in t rather than like e^(-x ln x) in
+z, so 132 to 154 nodes hold five flagship states at l = 1..4, whatever M,
+against the 443 to 623 that a step of 0.2 in z takes at M = 500.
+``assemble`` forms its pencil as on any grid, shifted alike and positive
+definite on the same grounds.  The lift (``_de_lift``) sums the DE sinc
+series at each fine node's t_j by the series ``interpolate`` sums
+(``sinc._sinc_series``), in O(K) per vector and no K x K_DE matrix, and
+turns v into f and f into the given grid's v by sqrt(psi'(t_j) phi'(x_j)).
+A bordered pencil has no DE grid: its border, sqrt(x) e^(-x)/sqrt(psi')
+there, decays only like e^(t/2) left of the window, so its corner
+integrals would need a tail beyond it.
 
-A bordered pencil keeps the nested grid of step stride*a
-(``SincGrid.nested``): on a DE grid its border, sqrt(x) e^(-x)/sqrt(psi'),
-decays only like e^(t/2) left of the window, so its corner integrals
-would need a tail beyond it.  Every nested node is a node of the given grid:
-fine node j sits at coarse index (j - first)/stride, where the same
-series is summed (``_lift``), and the border coefficient is the same on
-both grids.  Products, norms and the projection come from the pencil's
-pieces, T by the FFT and rest and R in O(K).  Besides a coarse grid that
-cannot be formed or holds too few nodes, ``_two_grid`` has three exits to
-the direct solve: a DE grid that does not hold the WKB window of the
-highest state, _DECAYED's 12 decades of decay past its turning points,
-which ``_holds`` finds by Bohr-Sommerfeld on the DE pencil's g and u before
-it is solved (a state the grid's end truncates; ``_window_ends`` is the
-decay sum that also sets ``coulomb``'s 17-decade window); a coarse vector
-that has not decayed to _DECAYED of its peak at both ends (a state the
-coarse step does not resolve); and Ritz pairs that miss the residual
-contract or whose residual is above _RITZ_RESIDUAL.  The memory check in
-``_Pencil.dense_left`` guards the one dense matrix that is built: the
-coarse grid's on the two-grid path, the given grid's on the direct one.
+Products, norms and the projection come from the pencil's pieces, T by the
+FFT and rest and R in O(K).  Besides a DE grid that cannot be formed or
+holds too few nodes, ``_two_grid`` has three exits to the direct solve: a
+DE grid that does not hold the WKB window of the highest state, _DECAYED's
+12 decades of decay past its turning points, which ``_holds`` finds by
+Bohr-Sommerfeld on the DE pencil's g and u before it is solved (a state the
+grid's end truncates; ``_window_ends`` is the decay sum that also sets
+``coulomb``'s 17-decade window); a coarse vector that has not decayed to
+_DECAYED of its peak at both ends (a state the DE step does not resolve);
+and Ritz pairs that miss the residual contract or whose residual is above
+_RITZ_RESIDUAL.  The memory check in ``_Pencil.dense_left`` guards the one
+dense matrix that is built: the DE grid's on the two-grid path, the given
+grid's on the direct one.
 """
 
 from __future__ import annotations
@@ -127,10 +122,10 @@ from .dense_eig import (EigenDecomposition, EigenSolveError, _validate_count, ei
 from .sinc import (SincGrid, _d2_column, _de_grid, _de_inverse, _de_map, _evaluate_on_points,
                    _sinc_series, build_deltas, interpolate)
 
-# The two-grid solve runs on a step a <= _COARSE_STEP, and a bordered pencil at a
-# stride = floor(_COARSE_STEP / a) of 2 or more, on the nested grid of step stride*a.
-# The flagship's levels converge like exp(-8.5/a) in the step, to roundoff by
-# a = 0.2, so a finer step than that buys no digit; not a user setting.
+# The two-grid solve runs on a step a <= _COARSE_STEP only, and ``coulomb``
+# cuts the bordered pencil only there: the flagship's levels converge like
+# exp(-8.5/a) in the step, to roundoff by a = 0.2, so a finer step buys no
+# digit, only a pencil larger than its states need; not a user setting.
 _COARSE_STEP = 0.2
 # The step h of the DE grid t = m h that gives an unbordered pencil its coarse
 # basis.  Chosen over the Ritz solves of l = 1..4, M = 500, 1000, 2500 and
@@ -147,8 +142,9 @@ _DE_STEP = 0.06
 _DECAYED = 1e-12
 # Ritz pairs stand in for the direct ones only at a roundoff-level residual:
 # direct pairs reach about 1e-16 and Ritz pairs from a resolving coarse basis
-# 4e-16 to 2e-14, while the error in R runs a few times the residual (l = 0
-# at M = 1000, a = 0.099: 5.6e-12, and 2e-11 of the peak in R).
+# 4e-16 to 2e-14, while the error in R runs a few times the residual (ten
+# states at l = 1, M = 1000 on a DE step of 0.07: 8.3e-12, and 2e-11 of the
+# peak in R).
 _RITZ_RESIDUAL = 1e-13
 
 __all__ = [
@@ -463,66 +459,43 @@ def _de_lift(V: np.ndarray, coarse: SincGrid, grid: SincGrid) -> np.ndarray:
     ``coarse``, at the nodes of ``grid``, turned into that grid's v: f =
     sqrt(psi') v on the DE grid, and v = sqrt(phi') f on this one."""
     t = _de_inverse(grid.points)
-    tau = t / coarse.a
-    k = np.rint(tau)
-    return (_sinc_series(V.T, -coarse.M, k, tau - k) * np.sqrt(_de_map(t)[1] * grid.phi1)).T
-
-
-def _lift(V: np.ndarray, stride: int, first: int, K: int) -> np.ndarray:
-    """The coarse sinc series of the columns of the Kc x k array V at the K
-    nodes of a grid whose node first + stride*i is coarse node i.
-
-    Fine node j lies at coarse index (j - first)/stride = k + r, k integer,
-    and r = (j - first - stride k)/stride is formed exactly from the
-    remainder rather than from the rounded quotient, so the shared nodes
-    (r = 0) keep the coarse values bit for bit.
-    """
-    d = np.arange(K) - first
-    k = (2 * d + stride) // (2 * stride)
-    return _sinc_series(V.T, 0, k.astype(float), (d - stride * k) / stride).T
+    return (_sinc_series(V.T, -coarse.M, t / coarse.a) * np.sqrt(_de_map(t)[1] * grid.phi1)).T
 
 
 def _two_grid(problem: CollocationProblem, pencil: _Pencil,
               count: int) -> EigenDecomposition | None:
     """The lowest ``count`` pairs of ``pencil``, the pencil of ``problem``, by
-    Rayleigh-Ritz on the lifted coarse vectors of the DE grid, or of the
-    nested grid of step stride*a when bordered (module docstring).  None on
-    a step above _COARSE_STEP, at a bordered stride floor(_COARSE_STEP / a)
-    of 1, and where the coarse grid cannot be formed, holds fewer than
-    count + 2 nodes (vectors that vanish at both ends span only its inner
-    ones), has the potential not finite on a node or is refused by
-    ``_holds``, all before any solve; where the coarse solve fails or
-    truncates a state (a vector above _DECAYED of its peak at an end node);
-    and where the Ritz pairs miss the residual contract or have a residual
-    above _RITZ_RESIDUAL.  The memory refusal of ``dense_left`` is raised."""
-    grid, bordered = problem.grid, problem.grid.bordered
-    stride = max(1, int(_COARSE_STEP / grid.a))
-    if grid.a > _COARSE_STEP or (bordered and stride == 1):
+    Rayleigh-Ritz on the lifted coarse vectors of the DE grid (module
+    docstring).  None for a bordered pencil and on a step above _COARSE_STEP,
+    and where the DE grid cannot be formed, holds fewer than count + 2 nodes
+    (vectors that vanish at both ends span only its inner ones), has the
+    potential not finite on a node or is refused by ``_holds``, all before
+    any solve; where the coarse solve fails or truncates a state (a vector
+    above _DECAYED of its peak at an end node); and where the Ritz pairs
+    miss the residual contract or have a residual above _RITZ_RESIDUAL.  The
+    memory refusal of ``dense_left`` is raised."""
+    grid = problem.grid
+    if grid.bordered or grid.a > _COARSE_STEP:
         return None
     try:
-        coarse = grid.nested(stride) if bordered else _de_grid(grid, _DE_STEP)
+        coarse = _de_grid(grid, _DE_STEP)
         if coarse.size < count + 2:
             return None
         with np.errstate(all="ignore"):
             coarse_problem = assemble(coarse, problem.potential)
     except ValueError:
         return None
-    if not bordered and not _holds(coarse_problem, count):
+    if not _holds(coarse_problem, count):
         return None
     try:
         V = _Pencil.of(coarse_problem).eigh(count).eigenvectors
     except EigenSolveError:
         return None
-    ends = np.maximum(np.abs(V[0]), np.abs(V[coarse.size - 1]))
-    if np.any(ends > _DECAYED * np.max(np.abs(V[:coarse.size]), axis=0)):
+    ends = np.maximum(np.abs(V[0]), np.abs(V[-1]))
+    if np.any(ends > _DECAYED * np.max(np.abs(V), axis=0)):
         return None
-    if bordered:  # v is a function of z; the border coefficient is the same on both grids
-        X = np.vstack((_lift(V[:coarse.size], stride, grid.M - coarse.M * stride, grid.size),
-                       V[coarse.size]))
-    else:
-        X = _de_lift(V, coarse, grid)
     try:
-        ritz = pencil.ritz(X)
+        ritz = pencil.ritz(_de_lift(V, coarse, grid))
     except EigenSolveError:
         return None
     return ritz if np.max(ritz.residuals) <= _RITZ_RESIDUAL else None

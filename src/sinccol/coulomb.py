@@ -149,7 +149,7 @@ def _windowed_pairs(l: int, count: int, beta: float, d: float, M: int, *, vector
     pairs, and those pairs (module docstring), solved for their levels alone
     without ``vectors`` (``collocation.solve``)."""
     grid = _flagship_grid(l, beta, d, M)
-    if isinstance(count, (int, np.integer)) and count > grid.size:
+    if _is_integer(count) and count > grid.size:
         raise ValueError(f"state n = {count - 1} needs more than the {grid.size} sinc points of "
                          f"the grid at l = {l}, M = {M}; increase M")
     _validate_count(count, grid.size)

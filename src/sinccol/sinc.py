@@ -66,8 +66,7 @@ class SincGrid:
         M: lower summation limit (indices start at -M).
         N: upper summation limit, N = ceil((alpha/beta) * M) on build_grid's grid.
         a: step size, a = sqrt(2*pi*d / (alpha*M)) on build_grid's grid; a
-            ``window`` of it keeps a and the indices but not M and N, and
-            ``nested(stride)`` has the step stride*a.
+            ``window`` of it keeps a and the indices but not M and N.
         points: sinc points x_m = psi(m*a), m = -M..N, strictly increasing.
         phi1: 1/psi', phi'(x_m) = sqrt(1 + e^(-2ma)) on build_grid's map.
         weight: u = psi'^2, tanh^2(x_m) = 1/(1 + e^(-2ma)) on build_grid's map.
@@ -103,28 +102,14 @@ class SincGrid:
         return np.arange(-self.M, self.N + 1)
 
     def window(self, lo: int, hi: int) -> SincGrid:
-        """The sub-grid of logical indices lo..hi: same map, step and indices."""
+        """The sub-grid of logical indices lo..hi: same map, step and indices,
+        every per-node array sliced."""
         if not -self.M <= lo <= hi <= self.N:
             raise ValueError(f"window {lo}..{hi} is not inside the grid's {-self.M}..{self.N}")
-        return self._sliced(slice(lo + self.M, hi + self.M + 1), M=-int(lo), N=int(hi))
-
-    def nested(self, stride: int) -> SincGrid:
-        """The coarse grid of step stride*a on the logical indices that are
-        multiples of ``stride``: coarse index m holds the node of index
-        stride*m, whose point and map data are sliced, not recomputed,
-        so every coarse node is bit-identical to a node of this grid."""
-        if not _is_integer(stride) or stride < 1:
-            raise ValueError(f"stride must be a positive integer, got {stride!r}")
-        M, N = self.M // stride, self.N // stride
-        if M + N < 0:
-            raise ValueError(f"no logical index of {-self.M}..{self.N} is a multiple of {stride}")
-        return self._sliced(slice(self.M - M * stride, self.M + N * stride + 1, stride),
-                            M=int(M), N=int(N), a=stride * self.a)
-
-    def _sliced(self, kept: slice, **changes) -> SincGrid:
-        """This grid with ``changes`` and every per-node array sliced by ``kept``."""
-        return replace(self, **changes, **{name: value[kept] for name, value in vars(self).items()
-                                           if isinstance(value, np.ndarray)})
+        kept = slice(lo + self.M, hi + self.M + 1)
+        return replace(self, M=-int(lo), N=int(hi), **{name: value[kept] for name, value
+                                                       in vars(self).items()
+                                                       if isinstance(value, np.ndarray)})
 
 
 @dataclass(frozen=True)
@@ -395,29 +380,27 @@ def interpolate(grid: SincGrid, values: np.ndarray, x: np.ndarray | float) -> np
         t = np.asarray(map_forward(x_arr.ravel()), dtype=float) / grid.a
     if not np.all(np.isfinite(t)):
         raise ValueError("interpolate requires phi(x)/a to be finite; x is too large")
-    k = np.rint(t)
-    result = _sinc_series(values, -grid.M, k, t - k)
+    result = _sinc_series(values, -grid.M, t)
     if x_arr.ndim == 0:
         return float(result[0])
     return result.reshape(x_arr.shape)
 
 
-def _sinc_series(values: np.ndarray, first: int, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum_i values[..., i] sinc(t - first - i) at each t = k + r of two 1-D
-    arrays, k integers and |r| <= 1/2, entry i of ``values`` standing at the
-    logical index first + i.
+def _sinc_series(values: np.ndarray, first: int, t: np.ndarray) -> np.ndarray:
+    """sum_i values[..., i] sinc(t - first - i) at each entry of the 1-D array
+    t, entry i of ``values`` standing at the logical index first + i.
 
-    The sum of ``interpolate``'s docstring in the index t directly: one
-    sine per t, the Cauchy sum's near field and FFT far field, or the
-    direct sum beyond the grid, and the nodal value where r = 0.  Taking r
-    apart from k lets a caller that knows it exactly (a nested grid's
-    fraction of a coarse step) keep it so, rather than lose eps |t| to the
-    rounding of t.  ``values`` is a K-vector, or a k x K stack of them that
-    share the sine and the positions; the result is a t.size vector, or
-    k x t.size.
+    The sum of ``interpolate``'s docstring in the index t directly, with
+    k = rint(t) and r = t - k: one sine per t, the Cauchy sum's near field
+    and FFT far field, or the direct sum beyond the grid, and the nodal
+    value where r = 0.  ``values`` is a K-vector, or a k x K stack of them
+    that share the sine and the positions; the result is a t.size vector,
+    or k x t.size.
     """
     K = values.shape[-1]
     indices = np.arange(first, first + K)
+    k = np.rint(t)
+    r = t - k
     on_node = r == 0.0
     alternating = np.where(indices % 2 == 0, values, -values)
     # position of k in the window k = first - _NEAR .. first + K - 1 + _NEAR of
@@ -427,7 +410,7 @@ def _sinc_series(values: np.ndarray, first: int, k: np.ndarray, r: np.ndarray) -
     clipped = np.clip(position, 0, K + 2 * _NEAR - 1)
     cauchy = _expanded_cauchy(alternating, clipped.astype(np.intp), np.where(on_node, 0.5, r))
     beyond = np.flatnonzero(clipped != position)
-    cauchy[..., beyond] = _direct_cauchy(alternating, indices, k[beyond] + r[beyond])
+    cauchy[..., beyond] = _direct_cauchy(alternating, indices, t[beyond])
     k_sign = np.where(k % 2.0 == 0.0, 1.0, -1.0)
     result = k_sign * np.sin(np.pi * r) / np.pi * cauchy
     nodes = np.flatnonzero(on_node)

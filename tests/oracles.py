@@ -66,14 +66,17 @@ def shooting_eigenvalues(q, l, lam_lo, lam_hi, count, x_end=14.0, *, x0=X0, rtol
     coarse = lambda lam: endpoint(lam, 1e-7)
     fine = lambda lam: endpoint(lam, rtol)
     grid = np.linspace(lam_lo, lam_hi, scan)
-    vals = [coarse(g) for g in grid]
     roots = []
-    for i in range(len(grid) - 1):
+    # the scan stops at the count-th bracket, so it integrates no point past it
+    below = coarse(grid[0])
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        above = coarse(hi)
         # signs, not the product, which overflows for a far x_end
-        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            roots.append(brentq(fine, grid[i], grid[i + 1], xtol=xtol, rtol=root_rtol))
+        if np.sign(below) * np.sign(above) < 0:
+            roots.append(brentq(fine, lo, hi, xtol=xtol, rtol=root_rtol))
             if len(roots) >= count:
                 break
+        below = above
     return roots
 
 

@@ -113,14 +113,13 @@ class TestMapData:
         from sinccol.coulomb import log_coulomb_potential
 
         # g = u q + omega (1 + 3u)/4, u = 1/(1 + e^(-2ma)), omega = 1 - u, bit for
-        # bit, on the grid, a window and a nested grid, each from e^(-2ma) of
-        # the grid's own nodes
+        # bit, on the grid and a window, each from e^(-2ma) of the grid's own
+        # nodes
         grid = build_grid(l + 0.5, 1.0, D4, 60)
         q = log_coulomb_potential(l)
         e2m = np.exp(-2.0 * (grid.indices * grid.a))
         m = grid.indices
-        for sub, kept in ((grid, m == m), (grid.window(-25, 20), (-25 <= m) & (m <= 20)),
-                          (grid.nested(3), m % 3 == 0)):
+        for sub, kept in ((grid, m == m), (grid.window(-25, 20), (-25 <= m) & (m <= 20))):
             u, omega = 1.0 / (1.0 + e2m[kept]), e2m[kept] / (1.0 + e2m[kept])
             problem = assemble(sub, q)
             assert np.array_equal(sub.weight, u) and np.array_equal(sub.dr, omega)
@@ -226,15 +225,14 @@ class TestSolve:
                 return allocate(shape, *args, **kwargs)
             return allocate_small
 
-        # l = 0, M = 2500: K = 3751 at a = 0.063, so solve factors only the
-        # bordered pencil of the nested grid of stride 3, K = 1250 (1251 rows),
-        # 12.5 MB against a pretended 10 MB
+        # l = 0, M = 2500: the bordered pencil at K = 3751 (3752 rows), which
+        # solve factors directly, 113 MB against a pretended 10 MB
         monkeypatch.setattr(collocation, "_physical_memory_bytes", lambda: 10**7)
         problem = flagship_problem(0, M=2500)
         for name in ("zeros", "empty"):
             monkeypatch.setattr(collocation.np, name, refusing(getattr(collocation.np, name)))
         with pytest.raises(ValueError,
-                           match=r"pencil at K = 1250 needs 0\.0125 GB.* has 0\.01 GB.*reduce M"):
+                           match=r"pencil at K = 3751 needs 0\.113 GB.* has 0\.01 GB.*reduce M"):
             solve(problem, 5)
 
     def test_paper_grid_too_large_to_factor_is_solved_on_a_coarse_grid(self, monkeypatch):
@@ -573,8 +571,9 @@ class TestHydrogen2D:
 
 @pytest.fixture(scope="module")
 def two_grid_and_direct():
-    """solve_states(l, 5, M) for l = 0..4 by the two-grid solve and, with the
-    coarse step at 0 (stride 1 everywhere), directly, by (M, l)."""
+    """solve_states(l, 5, M) for l = 0..4 by the two-grid solve where it
+    applies and, with the coarse step at 0, directly, by (M, l); the bordered
+    l = 0 pencils are solved directly both times."""
     import sinccol.collocation as collocation
     from sinccol import solve_states
 
@@ -589,9 +588,8 @@ def two_grid_and_direct():
 
 
 class TestTwoGrid:
-    """solve eigensolves on a coarse grid, the DE grid of an unbordered pencil
-    or the nested grid of step at most _COARSE_STEP of a bordered one, and
-    finishes by Rayleigh-Ritz on the given pencil."""
+    """solve eigensolves an unbordered pencil on the DE grid and finishes by
+    Rayleigh-Ritz on the given pencil, and solves a bordered one directly."""
 
     @staticmethod
     def counted_pencils(monkeypatch):
@@ -624,43 +622,32 @@ class TestTwoGrid:
                 assert np.max(np.abs(evaluate_radial(g, xs) - R)) <= 1e-12 * np.max(np.abs(R))
 
     def test_only_the_de_pencil_is_built(self, monkeypatch):
-        # l = 4, M = 300: a = 0.060, stride 3
+        # l = 4, M = 300: a = 0.060
         problem = flagship_problem(4, M=300)
         built = self.counted_pencils(monkeypatch)
         solve(problem, 5)
         assert built == [de_size(problem.grid)]
 
-    def test_bordered_pencil_takes_the_two_grid_path(self, monkeypatch):
-        import sinccol.collocation as collocation
-        import sinccol.coulomb as coulomb
+    def test_bordered_pencil_is_solved_directly_on_the_cut_window(self, monkeypatch):
         from sinccol import solve_states
 
-        # l = 0, M = 1500: a = 0.081, stride 2, coarse step 0.162, Ritz
-        # residual 2.1e-14 on the K = 1003 window from z = -21.1 that the
-        # bordered pencil is solved on; the only solve here whose left_form
-        # has a border.  At M = 1000 (K = 713, coarse step 0.199, residual
-        # 5.6e-12) it falls back.
-        with monkeypatch.context() as patch:
-            patch.setattr(collocation, "_COARSE_STEP", 0.0)
-            want = solve_states(0, 5, M=1500)
+        from oracles import read_oracle_levels
+
+        # l = 0, M = 1500: a = 0.081, so the bordered pencil is solved on the
+        # K = 1003 window from z = -21.1 (of the window's 2243 nodes), and that
+        # dense pencil is the only one built; 1.3e-14 off the oracle when written
+        solved = solved_problems(monkeypatch)
         built = self.counted_pencils(monkeypatch)
-        solved = []
-        real_solve = coulomb.solve
-        monkeypatch.setattr(coulomb, "solve",
-                            lambda problem, count, **kw: solved.append(problem.grid)
-                            or real_solve(problem, count, **kw))
         got = solve_states(0, 5, M=1500)
-        grid = got[0].grid
-        assert grid.bordered and grid.size == want[0].grid.size
-        assert built == [solved[0].nested(2).size]
-        # 3.2e-14 in the levels and 1.2e-13 of the peak when written
-        for g, w in zip(got, want):
-            assert abs(g.eigenvalue / w.eigenvalue - 1.0) <= 2e-13
-            peak = np.max(np.abs(w.coefficients))
-            assert np.max(np.abs(g.coefficients - w.coefficients)) <= 1e-12 * peak
+        problem, = solved
+        assert problem.grid.bordered and problem.grid.size < got[0].grid.size
+        assert built == [problem.grid.size]
+        levels = read_oracle_levels()
+        for n, g in enumerate(got):
+            assert abs(g.eigenvalue / levels[0, n] - 1.0) <= 2e-13
 
     def test_a_grid_that_ends_inside_the_decay_is_solved_directly(self, monkeypatch):
-        # l = 4, M = 100: a = 0.1047, stride 1; the grid ends 6.5 decades of
+        # l = 4, M = 100: a = 0.1047; the grid ends 6.5 decades of
         # WKB decay past n = 4's outer turning point, short of _DECAYED's 12,
         # so the hold test sends it to the direct solve with no coarse pencil
         problem = flagship_problem(4, M=100)
@@ -684,7 +671,7 @@ class TestTwoGrid:
     @pytest.mark.parametrize("lo, hi, count", [(4, 5, 1), (500, 508, 4)])
     def test_a_coarse_grid_too_small_for_the_count_is_solved_directly(self, lo, hi, count,
                                                                       monkeypatch):
-        # a = 0.060, stride 3; the DE grid needs count + 2 nodes, and x = 1.06..1.11
+        # a = 0.060; the DE grid needs count + 2 nodes, and x = 1.06..1.11
         # and x = 30.9..31.4 each hold one
         grid = build_grid(4.5, 1.0, D4, 300).window(lo, hi)
         assert de_size(grid) < count + 2
@@ -697,7 +684,7 @@ class TestTwoGrid:
         from sinccol.collocation import _DE_STEP
         from sinccol.sinc import _de_grid
 
-        # a = 0.060, stride 3; x = 32.2..32.8 lies between the DE nodes
+        # a = 0.060; x = 32.2..32.8 lies between the DE nodes
         # t = 4.14 and 4.20
         grid = build_grid(4.5, 1.0, D4, 300).window(520, 530)
         with pytest.raises(ValueError, match="no node"):
@@ -713,7 +700,7 @@ class TestTwoGrid:
         import sinccol.sinc as sinc
         from sinccol.coulomb import log_coulomb_potential
 
-        # l = 4, M = 300: a = 0.060, stride 3; the first DE node pretends to
+        # l = 4, M = 300: a = 0.060; the first DE node pretends to
         # underflow to x = 0, or the potential is infinite on one DE node only
         problem = flagship_problem(4, M=300)
         if fault == "underflow":
@@ -735,7 +722,7 @@ class TestTwoGrid:
             assert np.array_equal(g.coefficients, w.coefficients)
 
     def test_states_truncated_by_the_grid_end_are_solved_directly(self, monkeypatch):
-        # l = 1, M = 500: a = 0.081, stride 2; the paper's grid ends before
+        # l = 1, M = 500: a = 0.081; the paper's grid ends before
         # states 14..19 decay, so the hold test builds no coarse pencil
         problem = flagship_problem(1, M=500)
         built = self.counted_pencils(monkeypatch)
@@ -824,14 +811,18 @@ class TestTwoGrid:
 @pytest.fixture(scope="module")
 def step_0105_levels():
     """solve_states(l, 10, beta=0.5, M) for l = 1..4 with M = 450/(l + 1/2):
-    a = 0.105, stride 1, so solved directly, on windows of grids that reach
-    x = 94 (N = 2 alpha M), which no count-10 state there reaches; by l.
-    Its levels are independent of the two-grid solve and of the fine step,
-    and, with a pencil of entries near 1/a^2 = 91, hold less roundoff than a
-    direct solve at a = 0.021 (M = 2500), which is 2.4e-13 off them."""
+    a = 0.105, solved directly (the coarse step at 0), on windows of grids
+    that reach x = 94 (N = 2 alpha M), which no count-10 state there
+    reaches; by l.  Its levels are independent of the two-grid solve and of
+    the fine step, and, with a pencil of entries near 1/a^2 = 91, hold less
+    roundoff than a direct solve at a = 0.021 (M = 2500), which is 2.4e-13
+    off them."""
+    import sinccol.collocation as collocation
     from sinccol import solve_states
 
-    return {l: solve_states(l, 10, beta=0.5, M=round(450 / (l + 0.5))) for l in range(1, 5)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collocation, "_COARSE_STEP", 0.0)
+        return {l: solve_states(l, 10, beta=0.5, M=round(450 / (l + 0.5))) for l in range(1, 5)}
 
 
 class TestDEBasis:
@@ -983,7 +974,7 @@ class TestHoldTest:
     def test_states_the_grid_end_cuts_build_one_pencil(self, l, count, M, monkeypatch):
         from sinccol import solve_states
 
-        # stride 2; the paper's grid ends 8.7 to 11.5 decades of WKB decay past
+        # a < 0.1; the paper's grid ends 8.7 to 11.5 decades of WKB decay past
         # n = 4's outer turning point, where the DE solve used to be discarded
         solved = solved_problems(monkeypatch)
         built = TestTwoGrid.counted_pencils(monkeypatch)
@@ -1114,8 +1105,8 @@ class TestHoldTest:
                                                                                monkeypatch):
         import sinccol.collocation as collocation
 
-        # -f'' + (15/(4x^2) + x^2) f = lambda f (l = 2): lambda = 4n + 6; a = 0.115,
-        # stride 1.  The paper's grid reaches x = 43.7, and a window of it ends
+        # -f'' + (15/(4x^2) + x^2) f = lambda f (l = 2): lambda = 4n + 6; a = 0.115.
+        # The paper's grid reaches x = 43.7, and a window of it ends
         # at x = 7.6, 7.1 decades of WKB decay past n = 2's outer turning point
         grid = build_grid(2.5, 1.0, D4, 150)
         q = lambda x: 15.0 / (4.0 * x**2) + x**2
@@ -1132,62 +1123,24 @@ class TestHoldTest:
         assert built == [window.size]
 
 
-def unaligned_window(grid, stride):
-    """The grid less one or two nodes at each end, so that neither end's
-    logical index is a multiple of ``stride``."""
-    lo = next(m for m in (-grid.M + 1, -grid.M + 2) if m % stride)
-    hi = next(m for m in (grid.N - 1, grid.N - 2) if m % stride)
-    return grid.window(lo, hi)
+class TestDELift:
+    """The lift of the two-grid solve: the DE sinc series at each fine node's
+    t_j, by the series ``interpolate`` sums, turned into the fine grid's v."""
 
+    @pytest.mark.parametrize("M", [150, 500])
+    def test_matches_the_series_on_random_columns(self, M):
+        from sinccol.collocation import _DE_STEP, _de_lift
+        from sinccol.sinc import _de_grid, _de_inverse, _de_map
 
-class TestLift:
-    """The nested grid's lift: the coarse sinc series at the fine nodes, which
-    lie at the coarse indices (j - first)/stride, by the series that
-    ``interpolate`` sums."""
-
-    @staticmethod
-    def lifted(coarse, grid, stride, V):
-        from sinccol.collocation import _lift
-
-        return _lift(V, stride, grid.M - coarse.M * stride, grid.size)
-
-    @pytest.mark.parametrize("M", [150, 300, 500, 1000])
-    def test_matches_interpolate_on_the_coarse_states(self, M):
-        from sinccol.collocation import _COARSE_STEP, _Pencil
-        from sinccol.sinc import interpolate
-
-        # the vectors the two-grid solve lifts: five coarse states, at the
-        # solve's stride, or 2 where that is 1
-        for l in range(5):
-            problem = flagship_problem(l, M=M)
-            stride = max(2, int(_COARSE_STEP / problem.grid.a))
-            grid = unaligned_window(problem.grid, stride)
-            coarse = assemble(grid.nested(stride), problem.potential)
-            Kc = coarse.grid.size
-            V = _Pencil.of(coarse).eigh(5).eigenvectors[:Kc]
-            X = self.lifted(coarse.grid, grid, stride, V)
-            want = np.array([interpolate(coarse.grid, v, grid.points) for v in V.T]).T
-            peaks = np.max(np.abs(V), axis=0)
-            # 2.8e-15 of the peak at most when written
-            assert np.all(np.max(np.abs(X - want), axis=0) <= 1e-13 * peaks)
-            first = grid.M - coarse.grid.M * stride
-            assert np.array_equal(X[first::stride][:Kc], V)
-            assert np.array_equal(grid.points[first::stride][:Kc], coarse.grid.points)
-
-    @pytest.mark.parametrize("stride", [2, 3, 5])
-    @pytest.mark.parametrize("M", [150, 300])
-    def test_matches_the_series_on_random_columns(self, M, stride):
-        # against sum_i V[i] sinc((j - first)/stride - i) term by term;
-        # interpolate, which maps x back to z, is off by up to 4.9e-13 of the
-        # peak on such columns at M = 1000, where they do not decay
-        rng = np.random.default_rng(M + stride)
-        for l in range(5):
-            grid = unaligned_window(flagship_problem(l, M=M).grid, stride)
-            coarse = grid.nested(stride)
+        # against sum_i V[i] sinc(t_j/h - m_i) sqrt(psi'(t_j) phi'(x_j)) term by
+        # term; 1.6e-15 of the peak at most when written
+        rng = np.random.default_rng(M)
+        for l in range(1, 5):
+            grid = flagship_problem(l, M=M).grid
+            coarse = _de_grid(grid, _DE_STEP)
             V = rng.uniform(-1.0, 1.0, (coarse.size, 3))
-            first = grid.M - coarse.M * stride
-            offsets = np.arange(grid.size)[:, None] - first - stride * np.arange(coarse.size)
-            want = np.sinc(offsets / stride) @ V
-            X = self.lifted(coarse, grid, stride, V)
+            t = _de_inverse(grid.points)
+            want = ((np.sinc(t[:, None] / coarse.a - coarse.indices) @ V)
+                    * np.sqrt(_de_map(t)[1] * grid.phi1)[:, None])
+            X = _de_lift(V, coarse, grid)
             assert np.max(np.abs(X - want)) <= 1e-14 * np.max(np.abs(want))
-            assert np.array_equal(X[first::stride][:coarse.size], V)

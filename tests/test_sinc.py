@@ -245,42 +245,6 @@ class TestBuildGrid:
         assert g.points[0] > 0.0 and np.all(np.diff(g.points) > 0.0)
 
 
-class TestNested:
-    """SincGrid.nested(stride): the coarse grid on the multiples of stride."""
-
-    @pytest.mark.parametrize("stride", [1, 2, 4, 9])
-    def test_aligned_grid_keeps_every_stride_th_node(self, stride):
-        grid = build_grid(4.5, 1.0, D4, 180)  # M = 180 and N = 810 are multiples of 9
-        coarse = grid.nested(stride)
-        assert (coarse.M, coarse.N, coarse.a) == (180 // stride, 810 // stride, stride * grid.a)
-        for name in ("points", "phi1", "weight", "dr", "liouville"):
-            assert np.array_equal(getattr(coarse, name), getattr(grid, name)[::stride])
-
-    @pytest.mark.parametrize("lo, hi", [(-7, 13), (-8, 12), (3, 17), (-17, -3)])
-    def test_window_keeps_the_multiples_of_the_stride(self, lo, hi):
-        grid = build_grid(1.5, 1.0, D4, 20).window(lo, hi)
-        coarse = grid.nested(4)
-        kept = grid.indices % 4 == 0
-        assert np.array_equal(coarse.indices, grid.indices[kept] // 4)
-        assert np.array_equal(coarse.points, grid.points[kept])
-        assert np.array_equal(coarse.phi1, grid.phi1[kept])
-        assert coarse.size == coarse.points.size
-
-    def test_nested_points_sit_on_the_coarse_step(self):
-        grid = build_grid(2.5, 1.0, D4, 120).window(-37, 150)
-        coarse = grid.nested(3)
-        ma = coarse.indices * coarse.a
-        assert np.all(np.abs(map_forward(coarse.points) - ma) <= 1e-12 * np.maximum(1.0, np.abs(ma)))
-
-    def test_invalid_stride(self):
-        grid = build_grid(1.5, 1.0, D4, 20)
-        for bad in (0, -2, 1.5, True):
-            with pytest.raises(ValueError, match="stride must be a positive integer"):
-                grid.nested(bad)
-        with pytest.raises(ValueError, match="multiple of 4"):
-            grid.window(5, 7).nested(4)
-
-
 @pytest.fixture(scope="module")
 def deltas():
     return build_deltas(build_grid(1.0, 1.0, D4, 10))
@@ -489,17 +453,16 @@ class TestSincSeries:
         first, K = -40, 150
         values = rng.uniform(-1.0, 1.0, (3, K))
         t = np.concatenate((rng.uniform(-70.0, 140.0, 500), np.arange(-45.0, 115.0, 5.0)))
-        k = np.rint(t)
-        stacked = sinc._sinc_series(values, first, k, t - k)
-        rows = np.array([sinc._sinc_series(v, first, k, t - k) for v in values])
+        stacked = sinc._sinc_series(values, first, t)
+        rows = np.array([sinc._sinc_series(v, first, t) for v in values])
         assert stacked.shape == (3, t.size)
         # 2.1e-17 and 1.8e-15 when written: the FFTs of a stack round apart
         # from one row's
         assert np.max(np.abs(stacked - rows)) <= 1e-15
         want = values @ np.sinc(t[None, :] - np.arange(first, first + K)[:, None])
         assert np.max(np.abs(stacked - want)) <= 1e-14
-        nodes = (t == k) & (k >= first) & (k < first + K)
-        assert np.array_equal(stacked[:, nodes], values[:, (k[nodes] - first).astype(int)])
+        nodes = (t == np.rint(t)) & (t >= first) & (t < first + K)
+        assert np.array_equal(stacked[:, nodes], values[:, (t[nodes] - first).astype(int)])
 
 
 class TestQuadrature:
