@@ -71,8 +71,9 @@ it solves a small pencil of the same potential on a coarse grid, lifts its
 vectors onto the given grid's nodes, and finishes by Rayleigh-Ritz on the
 given pencil from its O(K log K) products, so the given grid's dense
 matrix is never built.  An unbordered pencil takes that path at any step
-a <= _COARSE_STEP whose grid holds the states (``_holds``); a bordered one,
-and any other that ``_two_grid`` returns None for, is solved directly.
+a <= _COARSE_STEP whose DE grid holds the states (``_holds``) and whose
+Ritz pairs pass the gate; a bordered one, and any other that ``_two_grid``
+returns None for, is solved directly.
 
 The coarse grid is that of the double-exponential (DE) map x = psi(t) =
 ln(1 + e^(sinh t)) (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001) 287;
@@ -91,18 +92,20 @@ there, decays only like e^(t/2) left of the window, so its corner
 integrals would need a tail beyond it.
 
 Products, norms and the projection come from the pencil's pieces, T by the
-FFT and rest and R in O(K).  Besides a DE grid that cannot be formed or
-holds too few nodes, ``_two_grid`` has three exits to the direct solve: a
-DE grid that does not hold the WKB window of the highest state, _DECAYED's
-12 decades of decay past its turning points, which ``_holds`` finds by
-Bohr-Sommerfeld on the DE pencil's g and u before it is solved (a state the
-grid's end truncates; ``_window_ends`` is the decay sum that also sets
-``coulomb``'s 17-decade window); a coarse vector that has not decayed to
-_DECAYED of its peak at both ends (a state the DE step does not resolve);
-and Ritz pairs that miss the residual contract or whose residual is above
-_RITZ_RESIDUAL.  The memory check in ``_Pencil.dense_left`` guards the one
-dense matrix that is built: the DE grid's on the two-grid path, the given
-grid's on the direct one.
+FFT and rest and R in O(K).  ``_two_grid`` has one pre-filter and one
+certificate.  The pre-filter, ``_holds``, refuses a DE grid that does not
+hold the WKB window of the highest state, _DECAYED's 12 decades of decay
+past its turning points, which it finds by Bohr-Sommerfeld on the DE
+pencil's g and u before that pencil is solved (a state the grid's end
+truncates; ``_window_ends`` is the decay sum that also sets ``coulomb``'s
+17-decade window).  The certificate is the Ritz gate: pairs that miss the
+residual contract or whose residual is above _RITZ_RESIDUAL are refused, and
+so is a state the DE step does not resolve, whose truncated coarse vector
+lifts to such a pair.  Any failure on the way (a DE grid that cannot be
+formed, a pencil that cannot be solved, a dependent lifted basis) refuses
+too.  The memory check in ``_Pencil.dense_left`` guards the one dense
+matrix that is built: the DE grid's on the two-grid path, the given grid's
+on the direct one.
 """
 
 from __future__ import annotations
@@ -132,13 +135,13 @@ _COARSE_STEP = 0.2
 # counts 1, 5, 10: at h = 0.06 each ended below _RITZ_RESIDUAL (worst 6.1e-14)
 # but count 10 at M = 500, l = 1, 2, where the paper's grid truncates the
 # states and no step serves.  h = 0.05 also passed (worst 5.3e-15) but cost
-# 1 to 7 ms more per paper table; h = 0.07 lost count 10 everywhere else, at
-# l = 1, 2 to Ritz residuals of 8e-12 and at l = 3, 4 to _DECAYED (end nodes
-# at 1.4e-12 and 3.6e-12 of the peak).  A lost case costs a direct solve,
-# never a wrong answer.
+# 1 to 7 ms more per paper table; h = 0.07 lost count 10 everywhere else to
+# Ritz residuals of 8.3e-12 to 8.6e-12 at l = 1, 2 and 5.1e-11 to 7.4e-11 at
+# l = 3, 4.  A lost case costs a direct solve, never a wrong answer.
 _DE_STEP = 0.06
-# A coarse vector holds its state when both its end nodes are at most this
-# fraction of its peak: the state has decayed inside the grid.
+# A grid holds a state when the state's WKB decay from its turning points to
+# each end of the grid reaches this fraction, 12 decades: the window that
+# ``_holds`` asks of the DE grid.
 _DECAYED = 1e-12
 # Ritz pairs stand in for the direct ones only at a roundoff-level residual:
 # direct pairs reach about 1e-16 and Ritz pairs from a resolving coarse basis
@@ -467,36 +470,26 @@ def _two_grid(problem: CollocationProblem, pencil: _Pencil,
     """The lowest ``count`` pairs of ``pencil``, the pencil of ``problem``, by
     Rayleigh-Ritz on the lifted coarse vectors of the DE grid (module
     docstring).  None for a bordered pencil and on a step above _COARSE_STEP,
-    and where the DE grid cannot be formed, holds fewer than count + 2 nodes
-    (vectors that vanish at both ends span only its inner ones), has the
-    potential not finite on a node or is refused by ``_holds``, all before
-    any solve; where the coarse solve fails or truncates a state (a vector
-    above _DECAYED of its peak at an end node); and where the Ritz pairs
-    miss the residual contract or have a residual above _RITZ_RESIDUAL.  The
-    memory refusal of ``dense_left`` is raised."""
+    and where ``_holds`` refuses the DE grid, both before any solve; where
+    any step raises a ValueError or EigenSolveError (a DE grid that cannot
+    be formed or has the potential not finite on a node, a count above its
+    size, a DE pencil too large for memory, a failed coarse solve, a
+    dependent lifted basis, Ritz pairs that miss the residual contract); and
+    where a Ritz residual is above _RITZ_RESIDUAL, the gate that also
+    refuses a state the DE step does not resolve.  The caller's direct solve
+    raises the given pencil's own refusals."""
     grid = problem.grid
     if grid.bordered or grid.a > _COARSE_STEP:
         return None
     try:
         coarse = _de_grid(grid, _DE_STEP)
-        if coarse.size < count + 2:
-            return None
         with np.errstate(all="ignore"):
             coarse_problem = assemble(coarse, problem.potential)
-    except ValueError:
-        return None
-    if not _holds(coarse_problem, count):
-        return None
-    try:
+        if not _holds(coarse_problem, count):
+            return None
         V = _Pencil.of(coarse_problem).eigh(count).eigenvectors
-    except EigenSolveError:
-        return None
-    ends = np.maximum(np.abs(V[0]), np.abs(V[-1]))
-    if np.any(ends > _DECAYED * np.max(np.abs(V), axis=0)):
-        return None
-    try:
         ritz = pencil.ritz(_de_lift(V, coarse, grid))
-    except EigenSolveError:
+    except (ValueError, EigenSolveError):
         return None
     return ritz if np.max(ritz.residuals) <= _RITZ_RESIDUAL else None
 

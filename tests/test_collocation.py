@@ -46,6 +46,18 @@ def de_size(grid):
     return _de_grid(grid, _DE_STEP).size
 
 
+def de_vectors_decayed(problem, count):
+    """Whether the lowest ``count`` vectors of the DE pencil of ``problem`` end
+    at or below _DECAYED of their peak at both ends of the DE grid."""
+    import sinccol.collocation as collocation
+    from sinccol.sinc import _de_grid
+
+    de = assemble(_de_grid(problem.grid, collocation._DE_STEP), problem.potential)
+    V = collocation._Pencil.of(de).eigh(count).eigenvectors
+    ends = np.maximum(np.abs(V[0]), np.abs(V[-1]))
+    return bool(np.all(ends <= collocation._DECAYED * np.max(np.abs(V), axis=0)))
+
+
 class TestAssemble:
     def test_diagonal_entries(self):
         grid = build_grid(1.0, 1.0, D4, 12)
@@ -671,8 +683,8 @@ class TestTwoGrid:
     @pytest.mark.parametrize("lo, hi, count", [(4, 5, 1), (500, 508, 4)])
     def test_a_coarse_grid_too_small_for_the_count_is_solved_directly(self, lo, hi, count,
                                                                       monkeypatch):
-        # a = 0.060; the DE grid needs count + 2 nodes, and x = 1.06..1.11
-        # and x = 30.9..31.4 each hold one
+        # a = 0.060; x = 1.06..1.11 and x = 30.9..31.4 each hold one DE node,
+        # too few for a window of decay inside them, so the hold test refuses
         grid = build_grid(4.5, 1.0, D4, 300).window(lo, hi)
         assert de_size(grid) < count + 2
         problem = assemble(grid, lambda x: 79.0 / (4.0 * x**2) + np.log(x))
@@ -806,6 +818,36 @@ class TestTwoGrid:
         assert rows == problem.grid.size
         assert [p.residual for p in pairs] == list(decomp.residuals)
         assert all(0.0 < p.residual <= collocation._RITZ_RESIDUAL for p in pairs)
+
+    def test_the_ritz_gate_alone_certifies_a_forced_coarse_basis(self, monkeypatch):
+        import sinccol.collocation as collocation
+
+        def peak_scaled(V):
+            # direct vectors are left-normalized and Ritz vectors R-normalized
+            return V / V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+
+        # every DE basis the gate accepts with the hold test switched off gives
+        # the direct pairs: 8 accepted when written, 3.0e-13 in the levels and
+        # 3.8e-13 of the peak in the vectors at most, among them l = 3,
+        # M = 200, count 5, whose DE vectors end at 2.0e-12 of their peak
+        monkeypatch.setattr(collocation, "_holds", lambda *args: True)
+        accepted, refused = [], []
+        for l in range(1, 5):
+            for M in (150, 200):
+                for count in (1, 5):
+                    problem = flagship_problem(l, M=M)
+                    pencil = collocation._Pencil.of(problem)
+                    ritz = collocation._two_grid(problem, pencil, count)
+                    if ritz is None:
+                        refused.append((l, M, count))
+                        continue
+                    accepted.append((l, M, count))
+                    direct = pencil.eigh(count)
+                    assert np.max(np.abs(ritz.eigenvalues / direct.eigenvalues - 1.0)) <= 1e-12
+                    assert np.max(np.abs(peak_scaled(ritz.eigenvectors)
+                                         - peak_scaled(direct.eigenvectors))) <= 1e-12
+        assert (3, 200, 5) in accepted and refused
+        assert not de_vectors_decayed(flagship_problem(3, M=200), 5)
 
 
 @pytest.fixture(scope="module")
@@ -1021,9 +1063,10 @@ class TestHoldTest:
         from sinccol import solve_states
         from sinccol.sinc import _de_grid
 
-        # over the converge and paper grids: a held window's DE vectors pass
-        # _DECAYED, and every window the stride rule sent to the two-grid path,
-        # and whose DE basis passed there, still takes it
+        # over the converge and paper grids: a held window's DE vectors decay
+        # to _DECAYED of their peak at both ends, and every window the stride
+        # rule sent to the two-grid path, and whose DE basis decayed so and
+        # passed the Ritz gate there, still takes it
         solved = solved_problems(monkeypatch)
         built = TestTwoGrid.counted_pencils(monkeypatch)
         held_by = collocation._holds
@@ -1040,18 +1083,18 @@ class TestHoldTest:
                     de = _de_grid(grid, collocation._DE_STEP)
                     held = held_by(assemble(de, problem.potential), count)
                     assert built[-1:] == [de.size if held else grid.size]
-                    if held:
-                        V = collocation._Pencil.of(assemble(de, problem.potential)).eigh(
-                            count).eigenvectors
-                        ends = np.maximum(np.abs(V[0]), np.abs(V[-1]))
-                        peaks = np.max(np.abs(V), axis=0)
-                        assert de.size >= count + 2, (l, M, count)
-                        assert np.all(ends <= collocation._DECAYED * peaks), (l, M, count)
                     with monkeypatch.context() as patch:
                         patch.setattr(collocation, "_holds", lambda *args: True)
                         two_grid = collocation._two_grid(problem, collocation._Pencil.of(problem),
                                                          count)
-                    if int(collocation._COARSE_STEP / grid.a) > 1 and two_grid is not None:
+                    if not held and two_grid is None:
+                        continue
+                    decayed = de_vectors_decayed(problem, count)
+                    if held:
+                        assert de.size >= count + 2, (l, M, count)
+                        assert decayed, (l, M, count)
+                    if int(collocation._COARSE_STEP / grid.a) > 1 and two_grid is not None \
+                            and decayed:
                         assert held, (l, M, count)
                         taken += 1
         # 28 such windows when written
@@ -1071,8 +1114,10 @@ class TestHoldTest:
 
         # l = 4, M = 1000, count 20: the window holds the states (16.4 decades
         # of WKB decay on the right), but the DE step 0.06 does not resolve
-        # n = 19, whose DE vector ends at 2.8e-8 of its peak, so _DECAYED sends
-        # the window to the direct solve after the DE one, as the stride rule did
+        # n = 19, whose DE vector ends at 2.8e-8 of its peak, so the lifted
+        # pairs miss the residual contract (1.6e-6 when written) and the
+        # window goes to the direct solve after the DE one, as the stride
+        # rule did
         monkeypatch.setattr(coulomb, "solve", first_window)
         with pytest.raises(Solved) as solved:
             solve_states(4, 20, M=1000)
